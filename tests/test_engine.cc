@@ -203,5 +203,61 @@ TEST(EngineRun, LoadStepRaisesOfferedRate)
     EXPECT_NEAR(post, 60.0, 6.0);
 }
 
+// Per-NIC packet ledger on a workload engine: every frame the NIC's
+// source generated was either received or counted as an RX drop, so
+// the pacer neither loses nor duplicates a frame on either scheduler.
+void
+expect_ingress_ledger(Engine &engine, std::uint32_t nics)
+{
+    for (std::uint32_t n = 0; n < nics; ++n) {
+        const NicStats s = engine.nic(n).stats();
+        EXPECT_EQ(engine.workload(n)->stats().frames,
+                  s.rx_frames + s.rx_drops_no_desc + s.rx_drops_pcie)
+            << "nic" << n;
+    }
+    EXPECT_EQ(engine.workload(nics), nullptr);
+}
+
+TEST(EngineRun, IngressLedgerExactSerialOverload)
+{
+    WorkloadSpec spec;
+    std::string err;
+    ASSERT_TRUE(spec.parse("uniform:flows=4096,len=64", &err)) << err;
+    MachineConfig m;
+    m.num_nics = 2;
+    Engine engine(m, router_config(), opts_packetmill(), spec);
+    RunConfig rc;
+    rc.offered_gbps = 100.0;
+    rc.warmup_us = 50;
+    rc.duration_us = 200;
+    const RunResult r = engine.run(rc);
+    EXPECT_GT(r.rx_drops, 0u) << "two 100G NICs must overload one core";
+    expect_ingress_ledger(engine, 2);
+}
+
+TEST(EngineRun, IngressLedgerExactEpochScheduler)
+{
+    std::uint64_t frames[2] = {0, 0};
+    for (std::uint32_t threads : {1u, 2u}) {
+        WorkloadSpec spec;
+        std::string err;
+        ASSERT_TRUE(spec.parse("zipf:flows=65536,skew=1.1,burst=4", &err))
+            << err;
+        MachineConfig m;
+        m.num_cores = 4;
+        Engine engine(m, router_config(), opts_packetmill(), spec);
+        RunConfig rc;
+        rc.offered_gbps = 100.0;
+        rc.warmup_us = 50;
+        rc.duration_us = 200;
+        rc.host_threads = threads;
+        engine.run(rc);
+        expect_ingress_ledger(engine, 1);
+        frames[threads - 1] = engine.workload(0)->stats().frames;
+    }
+    EXPECT_GT(frames[0], 0u);
+    EXPECT_EQ(frames[0], frames[1]);
+}
+
 } // namespace
 } // namespace pmill
