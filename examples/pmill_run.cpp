@@ -111,6 +111,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -230,7 +231,10 @@ main(int argc, char **argv)
         usage(argv[0]);
 
     const std::string config_path = argv[1];
+    // The --opt preset is applied first and --model overrides its
+    // model afterwards, whatever order the flags came in.
     PipelineOpts opts = opts_vanilla();
+    std::optional<MetadataModel> model;
     double freq = 2.3, offered = 100.0, duration_us = 2500.0;
     double sample_us = 100.0;
     std::uint32_t cores = 1, nics = 1, fixed_size = 0;
@@ -280,7 +284,7 @@ main(int argc, char **argv)
             if (!pick_model(v, &m))
                 flag_error("--model",
                            "copying|overlaying|xchange|parking", v);
-            opts.model = m;
+            model = m;
         } else if (a == "--park-split") {
             park_split = parse_u32_arg(
                 "--park-split", next(), 64, 1514,
@@ -402,6 +406,8 @@ main(int argc, char **argv)
                      host_threads, cores);
         return 2;
     }
+    if (model)
+        opts.model = *model;
     if (park_split != 0) {
         // The split only exists in the parking datapath; silently
         // accepting it under another model would look like it worked.

@@ -74,19 +74,29 @@ arrival_key(TimeNs t)
 }
 
 /**
- * One pre-generated wire arrival, RSS-routed to its queue's deque by
- * the conductor and consumed by the owning core's worker thread. The
- * frame bytes either point into the (immutable) Trace arena or are an
- * owned copy of the workload scratch buffer.
+ * Sum of @p f over the pointees of @p items in order, as double: the
+ * reduction behind the aggregate telemetry probes.
  */
-struct PendingArrival {
-    TimeNs start = 0;  ///< generator emission time (event order key)
-    TimeNs done = 0;   ///< wire completion (NicDevice::deliver's now)
-    std::uint32_t len = 0;
-    std::uint32_t nic = 0;  ///< ingress device
-    const std::uint8_t *frame = nullptr;  ///< trace mode: arena bytes
-    std::vector<std::uint8_t> owned;      ///< workload mode: a copy
-};
+template <class Items, class F>
+double
+sum_over(const Items &items, F f)
+{
+    double v = 0;
+    for (const auto &item : items)
+        v += static_cast<double>(f(*item));
+    return v;
+}
+
+/** Element label for metric names: non-alphanumerics become '_'. */
+std::string
+metric_label(const Element &e)
+{
+    std::string label = e.name().empty() ? e.class_name() : e.name();
+    for (char &c : label)
+        if (!std::isalnum(static_cast<unsigned char>(c)))
+            c = '_';
+    return label;
+}
 
 /** CacheHierarchy::NumaProbe over the allocator's placement map. */
 std::uint32_t
@@ -118,6 +128,8 @@ Engine::Engine(const MachineConfig &machine, const std::string &config_text,
     : machine_(machine), opts_(opts), trace_(std::move(trace))
 {
     PMILL_ASSERT(!trace_.empty(), "engine needs a nonempty trace");
+    for (std::uint32_t n = 0; n < machine.num_nics; ++n)
+        sources_.push_back(std::make_unique<TraceReplay>(trace_));
     init(config_text);
 }
 
@@ -129,7 +141,7 @@ Engine::Engine(const MachineConfig &machine, const std::string &config_text,
     // sequences while keeping the whole setup a pure function of the
     // spec seed.
     for (std::uint32_t n = 0; n < machine.num_nics; ++n)
-        workloads_.push_back(std::make_unique<WorkloadSource>(workload, n));
+        sources_.push_back(std::make_unique<WorkloadSource>(workload, n));
     init(config_text);
 }
 
@@ -250,7 +262,7 @@ Engine::init(const std::string &config_text)
         for (Element *e : core->pipe->elements())
             e->warm_caches(*core->caches);
 
-    gens_.resize(machine.num_nics);
+    next_start_.assign(machine.num_nics, 0.0);
 
     register_telemetry();
 }
@@ -258,32 +270,42 @@ Engine::init(const std::string &config_text)
 void
 Engine::register_telemetry()
 {
+    // Every aggregate probe is one in-order sum over cores, NICs, or
+    // the core-major queue grid (a fixed order keeps each column
+    // bit-exact); a mean divides that sum by the item count.
+    auto cores = [this](auto f) {
+        return [this, f] { return sum_over(cores_, f); };
+    };
+    auto queues = [this](auto f) {
+        return [this, f] {
+            double v = 0;
+            for (const auto &core : cores_)
+                for (const BoundQueue &bq : core->dps)
+                    v += static_cast<double>(f(bq));
+            return v;
+        };
+    };
+    auto mean = [](auto sum, std::size_t n) {
+        return [sum, n] { return sum() / static_cast<double>(n); };
+    };
+    auto cache_stat = [&](std::uint64_t MemStats::*field) {
+        return cores(
+            [field](const Core &c) { return c.caches->stats().*field; });
+    };
+
     // Aggregate microarchitectural counters (perf-style, summed over
     // cores); the sampler turns them into per-interval series.
-    metrics_.add_probe_counter("llc_loads", [this] {
-        double v = 0;
-        for (const auto &core : cores_)
-            v += static_cast<double>(core->caches->stats().llc_loads());
-        return v;
-    });
-    metrics_.add_probe_counter("llc_misses", [this] {
-        double v = 0;
-        for (const auto &core : cores_)
-            v += static_cast<double>(core->caches->stats().llc_load_misses);
-        return v;
-    });
-    metrics_.add_probe_counter("instructions", [this] {
-        double v = 0;
-        for (const auto &core : cores_)
-            v += core->ctx->counters().instructions;
-        return v;
-    });
-    metrics_.add_probe_counter("cycles", [this] {
-        double v = 0;
-        for (const auto &core : cores_)
-            v += core->ctx->counters().total_cycles(machine_.freq_ghz);
-        return v;
-    });
+    metrics_.add_probe_counter("llc_loads", cores([](const Core &c) {
+        return c.caches->stats().llc_loads();
+    }));
+    metrics_.add_probe_counter("llc_misses",
+                               cache_stat(&MemStats::llc_load_misses));
+    metrics_.add_probe_counter("instructions", cores([](const Core &c) {
+        return c.ctx->counters().instructions;
+    }));
+    metrics_.add_probe_counter("cycles", cores([this](const Core &c) {
+        return c.ctx->counters().total_cycles(machine_.freq_ghz);
+    }));
     metrics_.add_ratio("ipc", "instructions", "cycles");
 
     // Traffic counters: slot-backed (one add per completion in the
@@ -293,37 +315,24 @@ Engine::register_telemetry()
     metrics_.add_rate("throughput_gbps", "tx_wire_bits", 1e-9);
     metrics_.add_rate("mpps", "tx_pkts", 1e-6);
 
-    metrics_.add_probe_counter("rx_drops", [this] {
-        double v = 0;
-        for (const auto &nic : nics_)
-            v += static_cast<double>(nic->stats().rx_drops_no_desc +
-                                     nic->stats().rx_drops_pcie);
-        return v;
-    });
-    metrics_.add_probe_counter("pipeline_drops", [this] {
-        double v = 0;
-        for (const auto &core : cores_)
-            v += static_cast<double>(core->pipe->dropped());
-        return v;
-    });
+    metrics_.add_probe_counter(
+        "rx_drops", [this] { return static_cast<double>(rx_drops()); });
+    metrics_.add_probe_counter("pipeline_drops", cores([](const Core &c) {
+        return c.pipe->dropped();
+    }));
 
     // Occupancy gauges aggregated across devices/queues.
     metrics_.add_gauge("ring_occupancy", [this] {
-        double v = 0;
-        for (const auto &nic : nics_)
-            v += nic->rx_ring_occupancy();
-        return v / static_cast<double>(nics_.size());
+        return sum_over(nics_, [](const NicDevice &nic) {
+                   return nic.rx_ring_occupancy();
+               }) /
+               static_cast<double>(nics_.size());
     });
-    metrics_.add_gauge("mempool_occupancy", [this] {
-        double v = 0;
-        std::size_t n = 0;
-        for (const auto &core : cores_)
-            for (const auto &bq : core->dps) {
-                v += bq.dp->pool_occupancy();
-                ++n;
-            }
-        return n ? v / static_cast<double>(n) : 0.0;
-    });
+    metrics_.add_gauge("mempool_occupancy",
+                       mean(queues([](const BoundQueue &bq) {
+                                return bq.dp->pool_occupancy();
+                            }),
+                            cores_.size() * nics_.size()));
 
     // Per-interval latency distribution (p50_/p99_latency_us columns).
     lat_interval_ = metrics_.add_histogram("latency_us", 4000.0, 16384);
@@ -338,245 +347,136 @@ Engine::register_telemetry()
 
     // Actuated knob state (mean over cores), so a controlled run's
     // timeline shows the knob trajectory next to what it caused.
-    metrics_.add_gauge("rx_burst", [this] {
-        double v = 0;
-        for (const auto &core : cores_)
-            v += core->ctx->opts().burst;
-        return v / static_cast<double>(cores_.size());
-    });
-    metrics_.add_gauge("poll_backoff_ns", [this] {
-        double v = 0;
-        for (const auto &core : cores_)
-            v += core->poll_backoff_ns;
-        return v / static_cast<double>(cores_.size());
-    });
-    metrics_.add_probe_counter("poll_wait_cycles", [this] {
-        double v = 0;
-        for (const auto &core : cores_)
-            v += core->poll_wait_cycles;
-        return v;
-    });
+    metrics_.add_gauge(
+        "rx_burst",
+        mean(cores([](const Core &c) { return c.ctx->opts().burst; }),
+             cores_.size()));
+    metrics_.add_gauge(
+        "poll_backoff_ns",
+        mean(cores([](const Core &c) { return c.poll_backoff_ns; }),
+             cores_.size()));
+    metrics_.add_probe_counter("poll_wait_cycles", cores([](const Core &c) {
+        return c.poll_wait_cycles;
+    }));
+
+    const auto elems = cores_[0]->pipe->elements();
 
     // Cycle-accounting bucket columns (summed over cores, cumulative
     // cycles; the sampler turns them into per-interval shares). One
     // column per fixed scope, one per pipeline element, plus the
     // cross-scope stall components and the ledger total.
     if (CycleAccount::kCompiledIn) {
-        auto sum_scope = [this](std::uint16_t scope) {
-            double v = 0;
-            for (const auto &core : cores_)
-                v += CycleAccount::cycles(
-                    core->ctx->account().scope_total(scope));
-            return v;
+        auto acct = [&](const std::string &name, auto bucket) {
+            metrics_.add_probe_counter(name, cores([bucket](const Core &c) {
+                return CycleAccount::cycles(bucket(c.ctx->account()));
+            }));
         };
-        for (std::uint16_t s = 0; s < kAcctNumFixedScopes; ++s) {
-            metrics_.add_probe_counter(
-                strprintf("acct_%s_cycles", acct_scope_name(s)),
-                [sum_scope, s] { return sum_scope(s); });
-        }
-        const auto acct_elems = cores_[0]->pipe->elements();
-        for (std::size_t ei = 0; ei < acct_elems.size(); ++ei) {
-            std::string label = acct_elems[ei]->name().empty()
-                                    ? acct_elems[ei]->class_name()
-                                    : acct_elems[ei]->name();
-            for (char &c : label)
-                if (!std::isalnum(static_cast<unsigned char>(c)))
-                    c = '_';
-            const std::uint16_t scope = static_cast<std::uint16_t>(
-                kAcctElementBase + ei);
-            metrics_.add_probe_counter(
-                strprintf("acct_el_%s_cycles", label.c_str()),
-                [sum_scope, scope] { return sum_scope(scope); });
-        }
-        auto sum_component = [this](std::uint32_t comp) {
-            double v = 0;
-            for (const auto &core : cores_)
-                v += CycleAccount::cycles(
-                    core->ctx->account().component_total(comp));
-            return v;
+        auto scope = [](std::uint16_t s) {
+            return [s](const CycleAccount &a) { return a.scope_total(s); };
         };
-        metrics_.add_probe_counter("acct_llc_stall_cycles", [sum_component] {
-            return sum_component(kAcctLlcStall);
-        });
-        metrics_.add_probe_counter("acct_dram_stall_cycles",
-                                   [sum_component] {
-                                       return sum_component(kAcctDramStall);
-                                   });
-        metrics_.add_probe_counter("acct_tlb_stall_cycles", [sum_component] {
-            return sum_component(kAcctTlbStall);
-        });
-        metrics_.add_probe_counter("acct_total_cycles", [this] {
-            double v = 0;
-            for (const auto &core : cores_)
-                v += CycleAccount::cycles(
-                    core->ctx->account().total_fixed());
-            return v;
-        });
+        auto component = [](std::uint32_t comp) {
+            return [comp](const CycleAccount &a) {
+                return a.component_total(comp);
+            };
+        };
+        for (std::uint16_t s = 0; s < kAcctNumFixedScopes; ++s)
+            acct(strprintf("acct_%s_cycles", acct_scope_name(s)), scope(s));
+        for (std::size_t ei = 0; ei < elems.size(); ++ei)
+            acct(strprintf("acct_el_%s_cycles",
+                           metric_label(*elems[ei]).c_str()),
+                 scope(static_cast<std::uint16_t>(kAcctElementBase + ei)));
+        acct("acct_llc_stall_cycles", component(kAcctLlcStall));
+        acct("acct_dram_stall_cycles", component(kAcctDramStall));
+        acct("acct_tlb_stall_cycles", component(kAcctTlbStall));
+        acct("acct_total_cycles",
+             [](const CycleAccount &a) { return a.total_fixed(); });
     }
 
     // Flow-table state (NAT/conntrack): one prefixed group per
-    // stateful element, summed/aggregated over per-core instances.
-    const auto elems = cores_[0]->pipe->elements();
+    // stateful element, summed over its per-core instances.
     for (std::size_t ei = 0; ei < elems.size(); ++ei) {
         FlowTableStats probe;
         if (!elems[ei]->flow_table_stats(&probe))
             continue;
-        std::string label = elems[ei]->name().empty()
-                                ? elems[ei]->class_name()
-                                : elems[ei]->name();
-        for (char &c : label)
-            if (!std::isalnum(static_cast<unsigned char>(c)))
-                c = '_';
-        const std::string prefix = "tbl_" + label + "_";
-        // Snapshot of every core's instance of element ei, summed.
-        auto sum_stat = [this, ei](auto field) {
-            double v = 0;
-            for (const auto &core : cores_) {
+        const std::string prefix = "tbl_" + metric_label(*elems[ei]) + "_";
+        auto table = [&, ei](auto field) {
+            return cores([ei, field](const Core &c) {
                 FlowTableStats st;
-                if (core->pipe->elements()[ei]->flow_table_stats(&st))
-                    v += static_cast<double>(field(st));
-            }
-            return v;
+                return c.pipe->elements()[ei]->flow_table_stats(&st)
+                           ? st.*field
+                           : 0;
+            });
         };
-        metrics_.add_gauge(prefix + "occupancy", [sum_stat] {
-            return sum_stat([](const FlowTableStats &s) {
-                return s.occupancy;
-            });
-        });
-        metrics_.add_gauge(prefix + "half_open", [sum_stat] {
-            return sum_stat([](const FlowTableStats &s) {
-                return s.half_open;
-            });
-        });
-        metrics_.add_probe_counter(prefix + "inserts", [sum_stat] {
-            return sum_stat([](const FlowTableStats &s) {
-                return s.inserts;
-            });
-        });
-        metrics_.add_probe_counter(prefix + "failed_inserts", [sum_stat] {
-            return sum_stat([](const FlowTableStats &s) {
-                return s.failed_inserts;
-            });
-        });
-        metrics_.add_probe_counter(prefix + "displacements", [sum_stat] {
-            return sum_stat([](const FlowTableStats &s) {
-                return s.displacements;
-            });
-        });
-        metrics_.add_probe_counter(prefix + "evictions", [sum_stat] {
-            return sum_stat([](const FlowTableStats &s) {
-                return s.evictions;
-            });
-        });
+        metrics_.add_gauge(prefix + "occupancy",
+                           table(&FlowTableStats::occupancy));
+        metrics_.add_gauge(prefix + "half_open",
+                           table(&FlowTableStats::half_open));
+        metrics_.add_probe_counter(prefix + "inserts",
+                                   table(&FlowTableStats::inserts));
+        metrics_.add_probe_counter(prefix + "failed_inserts",
+                                   table(&FlowTableStats::failed_inserts));
+        metrics_.add_probe_counter(prefix + "displacements",
+                                   table(&FlowTableStats::displacements));
+        metrics_.add_probe_counter(prefix + "evictions",
+                                   table(&FlowTableStats::evictions));
     }
 
-    // Workload-generator counters (streaming mode only).
-    if (!workloads_.empty()) {
-        auto sum_wl = [this](auto field) {
-            return [this, field] {
-                double v = 0;
-                for (const auto &w : workloads_)
-                    v += static_cast<double>(field(w->stats()));
-                return v;
-            };
+    // Workload-generator counters (workload engines only).
+    if (workload(0)) {
+        auto wl = [this](const char *name, auto field) {
+            metrics_.add_probe_counter(name, [this, field] {
+                return sum_over(sources_, [field](const FrameSource &s) {
+                    return static_cast<const WorkloadSource &>(s)
+                        .stats().*field;
+                });
+            });
         };
-        metrics_.add_probe_counter(
-            "wl_frames", sum_wl([](const WorkloadStats &s) {
-                return s.frames;
-            }));
-        metrics_.add_probe_counter(
-            "wl_flows_born", sum_wl([](const WorkloadStats &s) {
-                return s.flows_born;
-            }));
-        metrics_.add_probe_counter(
-            "wl_flows_died", sum_wl([](const WorkloadStats &s) {
-                return s.flows_died;
-            }));
-        metrics_.add_probe_counter(
-            "wl_syns", sum_wl([](const WorkloadStats &s) {
-                return s.syn_frames;
-            }));
+        wl("wl_frames", &WorkloadStats::frames);
+        wl("wl_flows_born", &WorkloadStats::flows_born);
+        wl("wl_flows_died", &WorkloadStats::flows_died);
+        wl("wl_syns", &WorkloadStats::syn_frames);
     }
 
     // Steering-fabric counters — registered only when the config has
     // a FlowSteer element, so legacy timelines keep their exact
     // column set.
     if (steer_) {
-        auto steer_counter = [this](const char *name, auto field) {
+        auto steer = [this](const char *name, auto field) {
             metrics_.add_probe_counter(name, [this, field] {
-                return static_cast<double>(field(steer_->stats()));
+                return static_cast<double>(steer_->stats().*field);
             });
         };
-        steer_counter("steer_handoffs", [](const SteerStats &s) {
-            return s.steered;
-        });
-        steer_counter("steer_passed", [](const SteerStats &s) {
-            return s.passed;
-        });
-        steer_counter("steer_delivered", [](const SteerStats &s) {
-            return s.delivered;
-        });
-        steer_counter("steer_stage_drops", [](const SteerStats &s) {
-            return s.stage_drops;
-        });
-        steer_counter("steer_ring_drops", [](const SteerStats &s) {
-            return s.ring_drops;
-        });
+        steer("steer_handoffs", &SteerStats::steered);
+        steer("steer_passed", &SteerStats::passed);
+        steer("steer_delivered", &SteerStats::delivered);
+        steer("steer_stage_drops", &SteerStats::stage_drops);
+        steer("steer_ring_drops", &SteerStats::ring_drops);
     }
 
-    // NUMA remote-fill counter — likewise gated on a multi-socket
-    // machine.
-    if (machine_.num_sockets > 1) {
-        metrics_.add_probe_counter("numa_remote_fills", [this] {
-            double v = 0;
-            for (const auto &core : cores_)
-                v += static_cast<double>(
-                    core->caches->stats().numa_remote_fills);
-            return v;
-        });
-    }
-
-    // Parking-model counters — gated on the model so every other
-    // model's timeline keeps its exact column set.
+    // NUMA and Parking counters — gated on a multi-socket machine and
+    // on the model, so every other timeline keeps its exact column set.
+    if (machine_.num_sockets > 1)
+        metrics_.add_probe_counter("numa_remote_fills",
+                                   cache_stat(&MemStats::numa_remote_fills));
     if (opts_.model == MetadataModel::kParking) {
-        metrics_.add_probe_counter("park_fills", [this] {
-            double v = 0;
-            for (const auto &core : cores_)
-                v += static_cast<double>(core->caches->stats().park_fills);
-            return v;
-        });
-        metrics_.add_probe_counter("park_gathers", [this] {
-            double v = 0;
-            for (const auto &core : cores_)
-                v += static_cast<double>(core->caches->stats().park_gathers);
-            return v;
-        });
-        auto sum_park = [this](auto field) {
-            double v = 0;
-            for (const auto &core : cores_)
-                for (const auto &bq : core->dps) {
-                    PayloadPark::Stats st;
-                    if (bq.dp->park_stats(&st))
-                        v += static_cast<double>(field(st));
-                }
-            return v;
+        metrics_.add_probe_counter("park_fills",
+                                   cache_stat(&MemStats::park_fills));
+        metrics_.add_probe_counter("park_gathers",
+                                   cache_stat(&MemStats::park_gathers));
+        auto park = [&](auto field) {
+            return queues([field](const BoundQueue &bq) {
+                PayloadPark::Stats st;
+                return bq.dp->park_stats(&st) ? st.*field : 0;
+            });
         };
-        metrics_.add_probe_counter("park_parked", [sum_park] {
-            return sum_park(
-                [](const PayloadPark::Stats &s) { return s.parked; });
-        });
-        metrics_.add_probe_counter("park_rejoined", [sum_park] {
-            return sum_park(
-                [](const PayloadPark::Stats &s) { return s.rejoined; });
-        });
-        metrics_.add_probe_counter("park_dropped", [sum_park] {
-            return sum_park(
-                [](const PayloadPark::Stats &s) { return s.dropped; });
-        });
-        metrics_.add_gauge("park_outstanding", [sum_park] {
-            return sum_park(
-                [](const PayloadPark::Stats &s) { return s.outstanding; });
-        });
+        metrics_.add_probe_counter("park_parked",
+                                   park(&PayloadPark::Stats::parked));
+        metrics_.add_probe_counter("park_rejoined",
+                                   park(&PayloadPark::Stats::rejoined));
+        metrics_.add_probe_counter("park_dropped",
+                                   park(&PayloadPark::Stats::dropped));
+        metrics_.add_gauge("park_outstanding",
+                           park(&PayloadPark::Stats::outstanding));
     }
 }
 
@@ -758,43 +658,40 @@ Engine::tail_attribution(double threshold_us) const
     return attribute_tail(*tracer_, threshold_us);
 }
 
-void
-Engine::deliver_next(std::uint32_t nic_idx)
+TimeNs
+Engine::next_arrival(std::uint32_t *nic) const
 {
-    Generator &gen = gens_[nic_idx];
-    NicDevice &nic = *nics_[nic_idx];
+    std::uint32_t best = 0;
+    for (std::uint32_t n = 1; n < next_start_.size(); ++n)
+        if (next_start_[n] < next_start_[best])
+            best = n;
+    *nic = best;
+    return next_start_[best] < gen_stop_ ? next_start_[best] : kInf;
+}
 
-    const std::uint8_t *frame;
-    std::uint32_t len;
+Engine::Arrival
+Engine::pace(std::uint32_t nic)
+{
+    Arrival a;
+    a.nic = nic;
+    a.start = next_start_[nic];
     double gap_scale = 1.0;
-    if (!workloads_.empty()) {
-        // Streaming mode: synthesize the frame now (the NIC copies it
-        // into its mempool inside deliver(), so the scratch buffer can
-        // be reused immediately).
-        len = workloads_[nic_idx]->next_frame(
-            gen_buf_.data(), static_cast<std::uint32_t>(gen_buf_.size()),
-            &gap_scale);
-        frame = gen_buf_.data();
-    } else {
-        frame = trace_.data(gen.cursor);
-        len = trace_.len(gen.cursor);
-        gen.cursor = (gen.cursor + 1) % trace_.size();
-    }
-
-    const TimeNs done = gen.next_start + nic.wire_time_ns(len);
-    nic.deliver(frame, len, done);
+    a.len = sources_[nic]->next_frame(
+        gen_buf_.data(), static_cast<std::uint32_t>(gen_buf_.size()),
+        &gap_scale);
+    a.done = a.start + nics_[nic]->wire_time_ns(a.len);
 
     // Next frame starts after this one's share of the offered rate
-    // (post-step rate once the configured load step has passed).
-    // Workload burst modulation scales the gap (x1.0 — exact in IEEE —
-    // on the trace path and whenever bursts are off).
-    const double offered =
-        (load_step_gbps_ > 0 && gen.next_start >= load_step_at_)
-            ? load_step_gbps_
-            : offered_gbps_;
+    // (post-step rate once the configured load step has passed),
+    // scaled by the source's burst modulation (x1.0 — exact in IEEE —
+    // for a trace and whenever bursts are off).
+    const double offered = (load_step_gbps_ > 0 && a.start >= load_step_at_)
+                               ? load_step_gbps_
+                               : offered_gbps_;
     const double wire_bits =
-        static_cast<double>((len + kWireOverheadBytes) * 8);
-    gen.next_start += wire_bits / offered * gap_scale;
+        static_cast<double>((a.len + kWireOverheadBytes) * 8);
+    next_start_[nic] += wire_bits / offered * gap_scale;
+    return a;
 }
 
 void
@@ -889,26 +786,12 @@ Engine::step_core(Core &core)
 
     if (!any) {
         if (core.poll_backoff_ns > 0) {
-            // Metronome-style backoff: the core parks for the sleep
-            // interval instead of spinning; packets that arrive
-            // meanwhile wait in the ring until the next poll. The
-            // slept time counts as idle cycles like a dry busy-poll.
-            core.poll_wait_cycles +=
-                core.poll_backoff_ns * machine_.freq_ghz;
-            core.clock += core.poll_backoff_ns;
-            // The sleep advances the clock outside the ExecContext, so
-            // it is charged to the ledger directly (same ns * freq).
-            ctx.account().charge_ns(kAcctIdle, kAcctCompute,
-                                    core.poll_backoff_ns,
-                                    machine_.freq_ghz);
+            sleep_backoff(core);
         } else {
             // Skip ahead to the next completion if the queues are dry
             // (busy-polling consumes no simulated events we care
             // about); account the burned cycles for the telemetry.
-            TimeNs next = kInf;
-            for (auto &bq : core.dps)
-                next = std::min(next,
-                                nics_[bq.nic]->next_cqe_time(bq.queue));
+            const TimeNs next = next_cqe_time(core);
             if (next > core.clock && next < kInf) {
                 core.poll_wait_cycles +=
                     (next - core.clock) * machine_.freq_ghz;
@@ -939,10 +822,8 @@ Engine::can_idle_spin() const
     // With every queue dry and the wire idle, nothing can happen until
     // the next generator arrival except empty polls.
     for (const auto &c : cores_) {
-        for (const auto &bq : c->dps) {
-            if (nics_[bq.nic]->next_cqe_time(bq.queue) < kInf)
-                return false;
-        }
+        if (next_cqe_time(*c) < kInf)
+            return false;
     }
     for (const auto &nic : nics_) {
         if (!nic->tx_idle())
@@ -972,24 +853,42 @@ Engine::idle_spin(Core &core, TimeNs until)
         PMILL_ASSERT(dt > 0, "core made no progress");
         core.clock += dt;
         core.rr_cursor = (core.rr_cursor + 1) % ndp;
-        if (core.poll_backoff_ns > 0) {
-            core.poll_wait_cycles +=
-                core.poll_backoff_ns * machine_.freq_ghz;
-            core.clock += core.poll_backoff_ns;
-            ctx.account().charge_ns(kAcctIdle, kAcctCompute,
-                                    core.poll_backoff_ns,
-                                    machine_.freq_ghz);
-        }
+        if (core.poll_backoff_ns > 0)
+            sleep_backoff(core);
     }
 }
 
+TimeNs
+Engine::next_cqe_time(const Core &core) const
+{
+    TimeNs next = kInf;
+    for (const auto &bq : core.dps)
+        next = std::min(next, nics_[bq.nic]->next_cqe_time(bq.queue));
+    return next;
+}
+
 void
-Engine::drain_all_tx(TimeNs now)
+Engine::sleep_backoff(Core &core)
+{
+    // Metronome-style backoff: the core parks for the sleep interval
+    // instead of spinning; packets that arrive meanwhile wait in the
+    // ring until the next poll. The slept time counts as idle cycles
+    // like a dry busy-poll.
+    core.poll_wait_cycles += core.poll_backoff_ns * machine_.freq_ghz;
+    core.clock += core.poll_backoff_ns;
+    // The sleep advances the clock outside the ExecContext, so it is
+    // charged to the ledger directly (same ns * freq).
+    core.ctx->account().charge_ns(kAcctIdle, kAcctCompute,
+                                  core.poll_backoff_ns, machine_.freq_ghz);
+}
+
+void
+Engine::drain_all_tx(TimeNs now, std::vector<std::vector<PendingTx>> *defer)
 {
     const bool tron = PMILL_TRACE_ON(tracer_.get());
     for (std::uint32_t n = 0; n < nics_.size(); ++n) {
         tx_scratch_.clear();
-        nics_[n]->drain_tx(now, tx_scratch_);
+        nics_[n]->drain_tx(now, tx_scratch_, /*defer_dma=*/defer != nullptr);
         if (tx_scratch_.empty())
             continue;
         // Per-drain counter flush: integer sums are order-independent,
@@ -1005,7 +904,10 @@ Engine::drain_all_tx(TimeNs now)
             // slot while the ticket still owns it.
             if (measuring_ && tx_capture_)
                 capture_tx(c);
-            queue_dp_[n][c.queue]->on_tx_complete(c);
+            if (defer)
+                (*defer)[c.queue].push_back(PendingTx{n, c});
+            else
+                queue_dp_[n][c.queue]->on_tx_complete(c);
             if (PMILL_UNLIKELY(tron) && !inflight_.empty()) {
                 auto it = inflight_.find(arrival_key(c.arrival_ns));
                 if (it != inflight_.end()) {
@@ -1062,23 +964,28 @@ Engine::flush_steering()
     });
 }
 
+std::uint64_t
+Engine::rx_drops() const
+{
+    std::uint64_t drops = 0;
+    for (const auto &nic : nics_) {
+        const NicStats s = nic->stats();
+        drops += s.rx_drops_no_desc + s.rx_drops_pcie;
+    }
+    return drops;
+}
+
 void
-Engine::begin_measuring(std::vector<ExecCounters> &exec_base,
-                        std::vector<MemStats> &mem_base,
-                        std::uint64_t *drops_base, TimeNs warm_end)
+Engine::begin_measuring(TimeNs warm_end)
 {
     measuring_ = true;
     for (std::size_t c = 0; c < cores_.size(); ++c) {
-        exec_base[c] = cores_[c]->ctx->counters();
-        mem_base[c] = cores_[c]->caches->stats();
+        exec_base_[c] = cores_[c]->ctx->counters();
+        mem_base_[c] = cores_[c]->caches->stats();
         acct_base_[c] = cores_[c]->ctx->account().snapshot();
         acct_clock_base_[c] = cores_[c]->clock;
     }
-    *drops_base = 0;
-    for (auto &nic : nics_) {
-        const NicStats s = nic->stats();
-        *drops_base += s.rx_drops_no_desc + s.rx_drops_pcie;
-    }
+    drops_base_ = rx_drops();
     latency_->clear();
     tx_pkts_ = 0;
     tx_wire_bits_ = tx_frame_bits_ = 0;
@@ -1120,10 +1027,21 @@ Engine::run(const RunConfig &rc)
                                      machine_.nic.link_gbps)
                           : 0.0;
 
+    gen_stop_ = rc.generator_stop_us > 0
+                    ? warm_end + rc.generator_stop_us * 1000.0
+                    : kInf;
+
     sampler_ = rc.sample_interval_us > 0
                    ? std::make_unique<Sampler>(metrics_,
                                                rc.sample_interval_us)
                    : nullptr;
+
+    // Window baselines stay zero if the window never opens.
+    exec_base_.assign(cores_.size(), ExecCounters{});
+    mem_base_.assign(cores_.size(), MemStats{});
+    drops_base_ = 0;
+    acct_base_.assign(cores_.size(), CycleAccount::Snapshot{});
+    acct_clock_base_.assign(cores_.size(), 0.0);
 
     if (controller_)
         controller_->on_run_start(*this);
@@ -1142,32 +1060,9 @@ Engine::run_serial(const RunConfig &rc)
     const TimeNs warm_end = rc.warmup_us * 1000.0;
     const TimeNs end = warm_end + rc.duration_us * 1000.0;
 
-    std::vector<ExecCounters> exec_base(cores_.size());
-    std::vector<MemStats> mem_base(cores_.size());
-    std::uint64_t drops_base = 0;
-    acct_base_.assign(cores_.size(), CycleAccount::Snapshot{});
-    acct_clock_base_.assign(cores_.size(), 0.0);
-
-    auto maybe_start_measuring = [&](TimeNs t) {
-        if (measuring_ || t < warm_end)
-            return;
-        begin_measuring(exec_base, mem_base, &drops_base, warm_end);
-    };
-
-    const TimeNs gen_stop = rc.generator_stop_us > 0
-                                ? warm_end + rc.generator_stop_us * 1000.0
-                                : kInf;
-
     while (true) {
-        TimeNs next_arrival = kInf;
-        std::uint32_t arrival_nic = 0;
-        for (std::uint32_t n = 0; n < gens_.size(); ++n) {
-            if (gens_[n].next_start < next_arrival &&
-                gens_[n].next_start < gen_stop) {
-                next_arrival = gens_[n].next_start;
-                arrival_nic = n;
-            }
-        }
+        std::uint32_t arrival_nic;
+        const TimeNs next_arrival = this->next_arrival(&arrival_nic);
         TimeNs next_core = kInf;
         std::uint32_t core_idx = 0;
         for (std::uint32_t c = 0; c < cores_.size(); ++c) {
@@ -1180,10 +1075,12 @@ Engine::run_serial(const RunConfig &rc)
         const TimeNs t = std::min(next_arrival, next_core);
         if (t >= end)
             break;
-        maybe_start_measuring(t);
+        if (!measuring_ && t >= warm_end)
+            begin_measuring(warm_end);
 
         if (next_arrival <= next_core) {
-            deliver_next(arrival_nic);
+            const Arrival a = pace(arrival_nic);
+            nics_[arrival_nic]->deliver(gen_buf_.data(), a.len, a.done);
         } else {
             Core &core = *cores_[core_idx];
             // Idle stretch: nothing can reach this core before the
@@ -1202,28 +1099,31 @@ Engine::run_serial(const RunConfig &rc)
 
         drain_all_tx(t);
         flush_steering();
-        if (sampler_ && measuring_) {
-            sampler_->advance(t);
-            if (controller_)
-                controller_->observe(sampler_->timeline(), *this);
-        }
+        sample(t, /*last=*/false);
     }
     drain_all_tx(end);
-    if (sampler_ && measuring_) {
-        // Emit remaining whole intervals, then flush the trailing
-        // partial interval (marked) so no tail time vanishes.
-        sampler_->finish(end);
-        if (controller_)
-            controller_->observe(sampler_->timeline(), *this);
-    }
+    sample(end, /*last=*/true);
 
-    return finish_run(exec_base, mem_base, drops_base, warm_end, end);
+    return finish_run(warm_end, end);
+}
+
+void
+Engine::sample(TimeNs t, bool last)
+{
+    if (!sampler_ || !measuring_)
+        return;
+    // The last call emits the remaining whole intervals, then flushes
+    // the trailing partial interval (marked) so no tail time vanishes.
+    if (last)
+        sampler_->finish(t);
+    else
+        sampler_->advance(t);
+    if (controller_)
+        controller_->observe(sampler_->timeline(), *this);
 }
 
 RunResult
-Engine::finish_run(const std::vector<ExecCounters> &exec_base,
-                   const std::vector<MemStats> &mem_base,
-                   std::uint64_t drops_base, TimeNs warm_end, TimeNs end)
+Engine::finish_run(TimeNs warm_end, TimeNs end)
 {
     RunResult r;
     r.duration_ns = end - warm_end;
@@ -1236,12 +1136,7 @@ Engine::finish_run(const std::vector<ExecCounters> &exec_base,
     r.p99_latency_us = latency_->percentile(0.99);
     last_p99_us_ = r.p99_latency_us;
 
-    std::uint64_t drops = 0;
-    for (auto &nic : nics_) {
-        const NicStats s = nic->stats();
-        drops += s.rx_drops_no_desc + s.rx_drops_pcie;
-    }
-    r.rx_drops = drops - drops_base;
+    r.rx_drops = rx_drops() - drops_base_;
 
     // Parking-model ticket conservation, checked after every run:
     // each queue's PayloadPark::stats() hard-asserts that the
@@ -1297,9 +1192,9 @@ Engine::finish_run(const std::vector<ExecCounters> &exec_base,
     double instr = 0, cycles = 0;
     for (std::size_t c = 0; c < cores_.size(); ++c) {
         ExecCounters d =
-            counters_delta(cores_[c]->ctx->counters(), exec_base[c]);
+            counters_delta(cores_[c]->ctx->counters(), exec_base_[c]);
         exec_add(r.exec, d);
-        MemStats md = cores_[c]->caches->stats() - mem_base[c];
+        MemStats md = cores_[c]->caches->stats() - mem_base_[c];
         mem_stats_add(r.mem, md);
         instr += d.instructions;
         cycles += d.total_cycles(machine_.freq_ghz);
@@ -1359,81 +1254,31 @@ Engine::run_epoch(const RunConfig &rc)
     std::sort(edges.begin(), edges.end());
     edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
 
-    std::vector<ExecCounters> exec_base(cores_.size());
-    std::vector<MemStats> mem_base(cores_.size());
-    std::uint64_t drops_base = 0;
-    acct_base_.assign(cores_.size(), CycleAccount::Snapshot{});
-    acct_clock_base_.assign(cores_.size(), 0.0);
-
-    const TimeNs gen_stop = rc.generator_stop_us > 0
-                                ? warm_end + rc.generator_stop_us * 1000.0
-                                : kInf;
-
     // Per-core work queues, all filled by the conductor at edges and
     // drained by the owning core's worker inside the epoch: arrivals
-    // (RSS pre-routed; queue q == core q on every NIC) and
-    // TX-completion effects (deferred DMA replays + buffer returns,
-    // in drain order, tagged with the completing device).
-    struct PendingFx {
-        std::uint32_t nic = 0;
-        TxCompletion c;
+    // (RSS pre-routed; queue q == core q on every NIC, each with its
+    // own copy of the frame) and TX-completion effects (deferred DMA
+    // replays + buffer returns, in drain order, tagged with the
+    // completing device).
+    struct PendingArrival {
+        Arrival a;
+        std::vector<std::uint8_t> frame;
     };
     std::vector<std::deque<PendingArrival>> arrivals(cores_.size());
-    std::vector<std::vector<PendingFx>> pending_tx(cores_.size());
+    std::vector<std::vector<PendingTx>> pending_tx(cores_.size());
 
-    // Pre-generate every arrival in [gen.next_start, hi), merging the
-    // per-NIC generators by emission time (ties resolve to the lower
-    // NIC index, exactly as the serial loop's event selection does).
-    // Exact: the generators' pacing (next_start advance, load-step
-    // switch, burst gap scale) never depends on delivery outcomes, so
-    // synthesizing ahead of the cores is the same frame/time sequence
-    // the serial loop would produce one event at a time.
+    // Pre-generate every arrival that starts before @p hi with the
+    // serial loop's pacer and generator order, so the frame/time
+    // sequence is the one the serial loop produces one event at a time.
     auto pregen = [&](TimeNs hi) {
         for (;;) {
-            std::uint32_t gi = 0;
-            TimeNs best = kInf;
-            for (std::uint32_t n = 0;
-                 n < static_cast<std::uint32_t>(gens_.size()); ++n) {
-                if (gens_[n].next_start < best) {
-                    best = gens_[n].next_start;
-                    gi = n;
-                }
-            }
-            if (!(best < hi) || best >= gen_stop)
+            std::uint32_t n;
+            if (!(next_arrival(&n) < hi))
                 break;
-            Generator &gen = gens_[gi];
-            NicDevice &nic = *nics_[gi];
-            PendingArrival pa;
-            pa.start = gen.next_start;
-            pa.nic = gi;
-            const std::uint8_t *frame;
-            std::uint32_t len;
-            double gap_scale = 1.0;
-            if (!workloads_.empty()) {
-                len = workloads_[gi]->next_frame(
-                    gen_buf_.data(),
-                    static_cast<std::uint32_t>(gen_buf_.size()),
-                    &gap_scale);
-                frame = gen_buf_.data();
-            } else {
-                frame = trace_.data(gen.cursor);
-                len = trace_.len(gen.cursor);
-                gen.cursor = (gen.cursor + 1) % trace_.size();
-                pa.frame = frame;
-            }
-            pa.len = len;
-            pa.done = gen.next_start + nic.wire_time_ns(len);
-            const std::uint32_t qi = nic.rss_queue(frame, len);
-            if (!workloads_.empty())
-                pa.owned.assign(frame, frame + len);
-            const double offered =
-                (load_step_gbps_ > 0 && gen.next_start >= load_step_at_)
-                    ? load_step_gbps_
-                    : offered_gbps_;
-            const double wire_bits =
-                static_cast<double>((len + kWireOverheadBytes) * 8);
-            gen.next_start += wire_bits / offered * gap_scale;
-            arrivals[qi].push_back(std::move(pa));
+            PendingArrival pa{pace(n), {}};
+            pa.frame.assign(gen_buf_.data(), gen_buf_.data() + pa.a.len);
+            arrivals[nics_[n]->rss_queue(gen_buf_.data(), pa.a.len)]
+                .push_back(std::move(pa));
         }
     };
 
@@ -1443,11 +1288,11 @@ Engine::run_epoch(const RunConfig &rc)
     // the worker at epoch start — the same position in the core's
     // access sequence for every thread count.
     auto apply_tx_effects = [&](std::uint32_t ci) {
-        std::vector<PendingFx> &fx = pending_tx[ci];
+        std::vector<PendingTx> &fx = pending_tx[ci];
         if (fx.empty())
             return;
         CacheHierarchy &qc = *cores_[ci]->caches;
-        for (const PendingFx &p : fx) {
+        for (const PendingTx &p : fx) {
             const TxCompletion &c = p.c;
             qc.access(c.desc_addr, NicDevice::kDescBytes,
                       AccessType::kDevRead);
@@ -1475,33 +1320,23 @@ Engine::run_epoch(const RunConfig &rc)
             // Deliver every arrival the core has reached. Arrival
             // wins ties with the poll at the same instant, matching
             // the serial loop's `next_arrival <= next_core` order.
-            while (!aq.empty() && aq.front().start <= core.clock) {
+            while (!aq.empty() && aq.front().a.start <= core.clock) {
                 const PendingArrival &pa = aq.front();
-                nics_[pa.nic]->deliver_sharded(
-                    ci, pa.frame ? pa.frame : pa.owned.data(), pa.len,
-                    pa.done);
+                nics_[pa.a.nic]->deliver_sharded(ci, pa.frame.data(),
+                                                 pa.a.len, pa.a.done);
                 aq.pop_front();
             }
             if (core.clock >= t1)
                 break;
             TimeNs until = t1;
             if (!aq.empty())
-                until = std::min(until, aq.front().start);
+                until = std::min(until, aq.front().a.start);
             // Idle fast-forward (bit-identical spin replay) whenever
             // this core's queues are dry; unlike the serial loop no
             // global quiescence is needed — drains and sampling only
             // happen at edges, and other cores cannot reach this one
             // mid-epoch.
-            bool can_ff = !tron;
-            if (can_ff) {
-                for (const auto &bq : core.dps) {
-                    if (nics_[bq.nic]->next_cqe_time(bq.queue) < kInf) {
-                        can_ff = false;
-                        break;
-                    }
-                }
-            }
-            if (can_ff)
+            if (!tron && next_cqe_time(core) == kInf)
                 idle_spin(core, until);
             else
                 step_core(core);
@@ -1559,60 +1394,9 @@ Engine::run_epoch(const RunConfig &rc)
             barrier_relax(spins);
     };
 
-    // Conductor-side edge work: drain the wire up to @p now with
-    // deferred DMA, routing each completion's core-side effects to its
-    // owner and folding the telemetry exactly as the serial drain
-    // does. NIC index order, completion order within the drain.
-    auto drain_edge = [&](TimeNs now) {
-        const bool tron = PMILL_TRACE_ON(tracer_.get());
-        for (std::uint32_t n = 0;
-             n < static_cast<std::uint32_t>(nics_.size()); ++n) {
-            tx_scratch_.clear();
-            nics_[n]->drain_tx(now, tx_scratch_, /*defer_dma=*/true);
-            if (tx_scratch_.empty())
-                continue;
-            std::uint64_t pkts = 0;
-            std::uint64_t wire_bits = 0;
-            std::uint64_t frame_bits = 0;
-            for (const TxCompletion &c : tx_scratch_) {
-                pending_tx[c.queue].push_back(PendingFx{n, c});
-                if (PMILL_UNLIKELY(tron) && !inflight_.empty()) {
-                    auto it = inflight_.find(arrival_key(c.arrival_ns));
-                    if (it != inflight_.end()) {
-                        tracer_->record(TraceEventKind::kTx,
-                                        c.departure_ns, it->second, 0, 0,
-                                        c.len);
-                        inflight_.erase(it);
-                    }
-                }
-                ++pkts;
-                wire_bits += (c.len + kWireOverheadBytes) * 8ull;
-                lat_interval_->record((c.departure_ns - c.arrival_ns) /
-                                      1000.0);
-                if (measuring_) {
-                    frame_bits += c.len * 8ull;
-                    latency_->record((c.departure_ns - c.arrival_ns) /
-                                     1000.0);
-                    // Ticket release happens later, at the owning
-                    // core's apply_tx_effects, so the park slot is
-                    // still held here.
-                    if (tx_capture_)
-                        capture_tx(c);
-                }
-            }
-            m_tx_pkts_.add(pkts);
-            m_tx_wire_bits_.add(wire_bits);
-            if (measuring_) {
-                tx_pkts_ += pkts;
-                tx_wire_bits_ += wire_bits;
-                tx_frame_bits_ += frame_bits;
-            }
-        }
-    };
-
     // Zero warm-up: the window opens at t=0, before the first epoch.
     if (!measuring_ && warm_end <= 0)
-        begin_measuring(exec_base, mem_base, &drops_base, warm_end);
+        begin_measuring(warm_end);
 
     for (std::size_t i = 0; i < edges.size(); ++i) {
         const TimeNs t1 = edges[i];
@@ -1626,10 +1410,10 @@ Engine::run_epoch(const RunConfig &rc)
         //    in (warm_end, end] for every thread count), then the
         //    steering merge, then the measuring flip, then
         //    sampling + control.
-        drain_edge(t1);
+        drain_all_tx(t1, &pending_tx);
         flush_steering();
         if (!measuring_ && t1 >= warm_end)
-            begin_measuring(exec_base, mem_base, &drops_base, warm_end);
+            begin_measuring(warm_end);
         if (last) {
             // Final effects are applied by the conductor (core order)
             // so end-of-run state — pool occupancies, ledgers — does
@@ -1637,14 +1421,7 @@ Engine::run_epoch(const RunConfig &rc)
             for (std::uint32_t ci = 0; ci < ncores; ++ci)
                 apply_tx_effects(ci);
         }
-        if (sampler_ && measuring_) {
-            if (last)
-                sampler_->finish(end);
-            else
-                sampler_->advance(t1);
-            if (controller_)
-                controller_->observe(sampler_->timeline(), *this);
-        }
+        sample(t1, last);
     }
 
     if (nthreads > 1) {
@@ -1653,7 +1430,7 @@ Engine::run_epoch(const RunConfig &rc)
             t.join();
     }
 
-    return finish_run(exec_base, mem_base, drops_base, warm_end, end);
+    return finish_run(warm_end, end);
 }
 
 std::vector<std::string>

@@ -140,16 +140,17 @@ class Engine : public Actuator {
     /**
      * @param config_text Click configuration of the NF.
      * @param opts Optimization/model selection.
-     * @param trace Traffic replayed cyclically into every NIC.
+     * @param trace Traffic replayed cyclically into every NIC (one
+     *        TraceReplay per NIC, each from the first frame).
      */
     Engine(const MachineConfig &machine, const std::string &config_text,
            const PipelineOpts &opts, Trace trace);
 
     /**
-     * Streaming-workload variant: instead of replaying a precomputed
-     * Trace, every NIC owns a WorkloadSource (stream = NIC index)
-     * synthesizing frames lazily — million-flow universes with only
-     * per-flow slot state, no frame arena.
+     * Streaming-workload variant: every NIC's FrameSource is a
+     * WorkloadSource (stream = NIC index) synthesizing frames lazily —
+     * million-flow universes with only per-flow slot state, no frame
+     * arena.
      */
     Engine(const MachineConfig &machine, const std::string &config_text,
            const PipelineOpts &opts, const WorkloadSpec &workload);
@@ -275,12 +276,14 @@ class Engine : public Actuator {
 
     /**
      * Workload source feeding NIC @p nic, or nullptr when this engine
-     * replays a Trace instead.
+     * replays a Trace instead or @p nic is past the last NIC.
      */
     WorkloadSource *
     workload(std::uint32_t nic = 0)
     {
-        return nic < workloads_.size() ? workloads_[nic].get() : nullptr;
+        return nic < sources_.size()
+                   ? dynamic_cast<WorkloadSource *>(sources_[nic].get())
+                   : nullptr;
     }
 
     /**
@@ -399,9 +402,18 @@ class Engine : public Actuator {
         std::vector<FlowSteer *> steer_elems;
     };
 
-    struct Generator {
-        std::size_t cursor = 0;
-        TimeNs next_start = 0;
+    /** One paced wire arrival; its frame bytes are in gen_buf_. */
+    struct Arrival {
+        TimeNs start = 0;  ///< generator emission time (event order key)
+        TimeNs done = 0;   ///< wire completion (NicDevice::deliver's now)
+        std::uint32_t len = 0;
+        std::uint32_t nic = 0;  ///< ingress device
+    };
+
+    /** A TX completion queued for its core (epoch scheduler). */
+    struct PendingTx {
+        std::uint32_t nic = 0;
+        TxCompletion c;
     };
 
     /** Advance @p core by one poll iteration; returns its new clock. */
@@ -427,16 +439,48 @@ class Engine : public Actuator {
      */
     void idle_spin(Core &core, TimeNs until);
 
+    /** Earliest pending CQE over @p core 's queues (infinite when dry). */
+    TimeNs next_cqe_time(const Core &core) const;
+
+    /** Advance @p core by its poll backoff, charged as idle time. */
+    void sleep_backoff(Core &core);
+
     /** Shared constructor body (topology + telemetry). */
     void init(const std::string &config_text);
 
     /** Register the engine-level aggregate metrics (ctor helper). */
     void register_telemetry();
 
-    /** Deliver the next frame of @p gen into @p nic_idx. */
-    void deliver_next(std::uint32_t nic_idx);
+    /// @name Traffic generation and TX completion (both schedulers).
+    /// @{
+    /**
+     * Emission time of the next arrival over all generators (ties go
+     * to the lower NIC index, stored in @p nic); infinite once that
+     * time reaches the run's generator stop.
+     */
+    TimeNs next_arrival(std::uint32_t *nic) const;
 
-    void drain_all_tx(TimeNs now);
+    /**
+     * The pacing step of NIC @p nic 's generator: pull its next frame
+     * into gen_buf_, compute the frame's wire done-time, and advance
+     * next_start_ by the frame's share of the offered rate (the
+     * post-step rate once the load step has passed) times the
+     * source's gap scale. Pacing never depends on delivery outcomes,
+     * so the epoch scheduler may run it ahead of the cores.
+     */
+    Arrival pace(std::uint32_t nic);
+
+    /**
+     * Drain every NIC's wire up to @p now (NIC index order, drain
+     * order within a NIC) and fold each completion: the TX capture
+     * (before the park ticket is released), the completion itself,
+     * the tracer join and the TX telemetry. With @p defer null each
+     * completion is applied now (on_tx_complete); otherwise its DMA
+     * is deferred and it is queued on (*defer)[queue] for its core.
+     */
+    void drain_all_tx(TimeNs now,
+                      std::vector<std::vector<PendingTx>> *defer = nullptr);
+    /// @}
 
     /**
      * Merge every staged handoff frame into its home core's NIC queue
@@ -463,24 +507,31 @@ class Engine : public Actuator {
      * config core order), reset window counters/element stats, start
      * the sampler at @p warm_end, clear the trace ring.
      */
-    void begin_measuring(std::vector<ExecCounters> &exec_base,
-                         std::vector<MemStats> &mem_base,
-                         std::uint64_t *drops_base, TimeNs warm_end);
+    void begin_measuring(TimeNs warm_end);
+
+    /**
+     * Advance the in-window sampler to @p t (finishing the run's
+     * timeline when @p last) and let the controller observe it.
+     */
+    void sample(TimeNs t, bool last);
 
     /** Assemble the RunResult + conservation asserts (shared tail). */
-    RunResult finish_run(const std::vector<ExecCounters> &exec_base,
-                         const std::vector<MemStats> &mem_base,
-                         std::uint64_t drops_base, TimeNs warm_end,
-                         TimeNs end);
+    RunResult finish_run(TimeNs warm_end, TimeNs end);
+
+    /** RX drops (no descriptor + PCIe) summed over NICs. */
+    std::uint64_t rx_drops() const;
     /// @}
 
     MachineConfig machine_;
     PipelineOpts opts_;
-    Trace trace_;  ///< empty when workloads_ drive the generators
-    /// Streaming frame sources, one per NIC (empty in trace mode).
-    std::vector<std::unique_ptr<WorkloadSource>> workloads_;
-    /// Scratch buffer a workload frame is synthesized into before the
-    /// NIC copies it into its simulated mempool.
+    Trace trace_;  ///< frames the TraceReplay sources read (empty on
+                   ///< workload engines)
+    /// Frame source per NIC: a TraceReplay or a WorkloadSource.
+    std::vector<std::unique_ptr<FrameSource>> sources_;
+    /// Generator emission time of each NIC's next frame.
+    std::vector<TimeNs> next_start_;
+    /// Scratch buffer pace() pulls a frame into before the NIC copies
+    /// it into its simulated mempool.
     std::array<std::uint8_t, kMaxFrameLen> gen_buf_{};
     double offered_gbps_ = 100.0;
     /// @name Load step (set per run; gated on load_step_gbps_ > 0).
@@ -488,6 +539,8 @@ class Engine : public Actuator {
     TimeNs load_step_at_ = 0;
     double load_step_gbps_ = 0;
     /// @}
+    /// No arrival is generated at or after this time (set per run).
+    TimeNs gen_stop_ = 0;
     Controller *controller_ = nullptr;  ///< non-owning; may be null
 
     std::unique_ptr<SimMemory> mem_;
@@ -495,7 +548,6 @@ class Engine : public Actuator {
     std::unique_ptr<SteerFabric> steer_;
     std::vector<std::unique_ptr<NicDevice>> nics_;
     std::vector<std::unique_ptr<Core>> cores_;
-    std::vector<Generator> gens_;
     /// Map (nic, queue) -> datapath for TX-completion routing.
     std::vector<std::vector<Datapath *>> queue_dp_;
 
@@ -520,6 +572,13 @@ class Engine : public Actuator {
     CounterHandle m_tx_pkts_;  ///< hot-path slot counters
     CounterHandle m_tx_wire_bits_;
     Histogram *lat_interval_ = nullptr;  ///< per-interval latency
+    /// @}
+
+    /// @name Measured-window baselines (set by begin_measuring).
+    /// @{
+    std::vector<ExecCounters> exec_base_;
+    std::vector<MemStats> mem_base_;
+    std::uint64_t drops_base_ = 0;
     /// @}
 
     /// @name Cycle accounting (measured-window baselines + results).

@@ -12,7 +12,8 @@ namespace pmill {
 void
 Trace::add(const std::uint8_t *data, std::uint32_t len)
 {
-    PMILL_ASSERT(len > 0, "empty frame");
+    PMILL_ASSERT(len >= 1 && len <= kMaxFrameLen,
+                 "frame length %u outside [1, %u]", len, kMaxFrameLen);
     Index idx{bytes_.size(), len};
     bytes_.insert(bytes_.end(), data, data + len);
     index_.push_back(idx);
@@ -59,6 +60,19 @@ Trace::load(const std::string &path)
     ok = ok && magic == kTraceMagic;
     ok = ok && std::fread(&count, sizeof(count), 1, f) == 1;
     ok = ok && std::fread(&blob, sizeof(blob), 1, f) == 1;
+    // The counts must fit in what the file holds, so a corrupt header
+    // fails here instead of sizing the buffers from garbage.
+    constexpr long kHeaderBytes = sizeof(magic) + sizeof(count) + sizeof(blob);
+    constexpr std::uint64_t kIndexBytes =
+        sizeof(Index::offset) + sizeof(Index::len);
+    ok = ok && std::fseek(f, 0, SEEK_END) == 0;
+    const long size = ok ? std::ftell(f) : -1;
+    ok = ok && size >= kHeaderBytes &&
+         std::fseek(f, kHeaderBytes, SEEK_SET) == 0;
+    const std::uint64_t avail =
+        ok ? static_cast<std::uint64_t>(size - kHeaderBytes) : 0;
+    ok = ok && count <= avail / kIndexBytes &&
+         blob <= avail - count * kIndexBytes;
     if (!ok) {
         std::fclose(f);
         return false;
@@ -70,7 +84,8 @@ Trace::load(const std::string &path)
         ok = ok && std::fread(&idx.offset, sizeof(idx.offset), 1, f) == 1;
         ok = ok && std::fread(&idx.len, sizeof(idx.len), 1, f) == 1;
         total_bytes_ += idx.len;
-        ok = ok && idx.offset + idx.len <= blob;
+        ok = ok && idx.len >= 1 && idx.len <= kMaxFrameLen &&
+             idx.offset <= blob && idx.len <= blob - idx.offset;
     }
     if (blob)
         ok = ok && std::fread(bytes_.data(), 1, blob, f) == blob;
@@ -81,6 +96,20 @@ Trace::load(const std::string &path)
         total_bytes_ = 0;
     }
     return ok;
+}
+
+std::uint32_t
+TraceReplay::next_frame(std::uint8_t *buf, std::uint32_t cap,
+                        double *gap_scale)
+{
+    const std::uint32_t len = trace_.len(cursor_);
+    PMILL_ASSERT(len <= cap, "frame of %u bytes exceeds the %u-byte buffer",
+                 len, cap);
+    std::memcpy(buf, trace_.data(cursor_), len);
+    cursor_ = (cursor_ + 1) % trace_.size();
+    if (gap_scale)
+        *gap_scale = 1.0;
+    return len;
 }
 
 namespace {

@@ -1,12 +1,14 @@
 /**
  * @file
- * Packet traces and traffic generators.
+ * Packet traces, trace replay, and the frame-source interface.
  *
  * The paper evaluates with (i) a 28-minute campus trace (799 M
  * packets, 981 B average — GDPR-restricted, so we synthesize a trace
  * matching its disclosed statistics) and (ii) fixed-size synthetic
- * traffic. A Trace stores concrete wire-format frames; the engine
- * replays it cyclically, like the paper replays its trace 25 times.
+ * traffic. A Trace stores concrete wire-format frames; a TraceReplay
+ * feeds it to one NIC cyclically, like the paper replays its trace 25
+ * times. The engine's generators pull every frame through the
+ * FrameSource interface, which TraceReplay and WorkloadSource share.
  */
 
 #ifndef PMILL_TRACE_TRACE_HH
@@ -20,10 +22,36 @@
 
 namespace pmill {
 
+/**
+ * A per-NIC stream of wire frames, paced onto the link by the
+ * engine's generator.
+ */
+class FrameSource {
+  public:
+    FrameSource() = default;
+    FrameSource(const FrameSource &) = default;
+    FrameSource(FrameSource &&) = default;
+    FrameSource &operator=(const FrameSource &) = default;
+    FrameSource &operator=(FrameSource &&) = default;
+    virtual ~FrameSource() = default;
+
+    /**
+     * Write the next frame into @p buf (capacity @p cap, at least
+     * kMaxFrameLen) and return its length. @p gap_scale receives the
+     * factor on the inter-arrival gap that follows this frame (1.0
+     * for a smooth source).
+     */
+    virtual std::uint32_t next_frame(std::uint8_t *buf, std::uint32_t cap,
+                                     double *gap_scale) = 0;
+};
+
 /** A stored trace of raw frames. */
 class Trace {
   public:
-    /** Append one frame (copied into the trace arena). */
+    /**
+     * Append one frame (copied into the trace arena);
+     * 1 <= @p len <= kMaxFrameLen.
+     */
     void add(const std::uint8_t *data, std::uint32_t len);
 
     /** Append one frame from a vector. */
@@ -63,7 +91,11 @@ class Trace {
     /** Serialize to a compact binary file. @return false on I/O error. */
     bool save(const std::string &path) const;
 
-    /** Load a trace written by save(). @return false on error. */
+    /**
+     * Load a trace written by save(). @return false on I/O error, a
+     * bad header, a frame length outside [1, kMaxFrameLen], or counts
+     * the file is too short to hold.
+     */
     bool load(const std::string &path);
 
   private:
@@ -74,6 +106,20 @@ class Trace {
     std::vector<std::uint8_t> bytes_;
     std::vector<Index> index_;
     std::uint64_t total_bytes_ = 0;
+};
+
+/** Cyclic replay of a Trace into one NIC, from its first frame. */
+class TraceReplay final : public FrameSource {
+  public:
+    /** @p trace is not owned and must outlive the replay. */
+    explicit TraceReplay(const Trace &trace) : trace_(trace) {}
+
+    std::uint32_t next_frame(std::uint8_t *buf, std::uint32_t cap,
+                             double *gap_scale) override;
+
+  private:
+    const Trace &trace_;
+    std::size_t cursor_ = 0;
 };
 
 /** Parameters for the synthetic campus-trace generator. */

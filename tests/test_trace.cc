@@ -59,6 +59,64 @@ TEST(Trace, LoadRejectsGarbage)
     EXPECT_TRUE(t.empty());
     std::remove(path.c_str());
     EXPECT_FALSE(t.load("/nonexistent/path/file.bin"));
+
+    // Well-formed headers with bad contents: a file in save()'s
+    // layout holding one index entry (offset 0, length @p len) and
+    // @p blob_bytes of frame data, under the header counts given.
+    auto crafted = [&](std::uint64_t count, std::uint64_t blob,
+                       std::uint32_t len, std::size_t blob_bytes) {
+        std::FILE *cf = std::fopen(path.c_str(), "wb");
+        EXPECT_NE(cf, nullptr);
+        const std::uint32_t magic = 0x504D5452;
+        const std::uint64_t offset = 0;
+        const std::vector<std::uint8_t> bytes(blob_bytes, 0xAB);
+        std::fwrite(&magic, sizeof(magic), 1, cf);
+        std::fwrite(&count, sizeof(count), 1, cf);
+        std::fwrite(&blob, sizeof(blob), 1, cf);
+        std::fwrite(&offset, sizeof(offset), 1, cf);
+        std::fwrite(&len, sizeof(len), 1, cf);
+        std::fwrite(bytes.data(), 1, bytes.size(), cf);
+        std::fclose(cf);
+        Trace ct;
+        const bool ok = ct.load(path);
+        std::remove(path.c_str());
+        return ok && !ct.empty();
+    };
+    EXPECT_TRUE(crafted(1, 64, 64, 64)) << "the control file must load";
+    EXPECT_FALSE(crafted(1, 64, 0, 64)) << "zero-length frame";
+    EXPECT_FALSE(crafted(1, 2048, kMaxFrameLen + 1, 2048))
+        << "frame longer than kMaxFrameLen";
+    EXPECT_FALSE(crafted(1, 64, 65, 64)) << "frame past the blob";
+    EXPECT_FALSE(crafted(std::uint64_t{1} << 60, 64, 64, 64))
+        << "count larger than the file";
+    EXPECT_FALSE(crafted(1, std::uint64_t{1} << 60, 64, 64))
+        << "blob larger than the file";
+    EXPECT_FALSE(crafted(1, 128, 64, 64)) << "blob truncated";
+}
+
+TEST(Trace, AddRejectsBadLengths)
+{
+    Trace t;
+    std::vector<std::uint8_t> big(kMaxFrameLen + 1, 0);
+    EXPECT_DEATH(t.add(big.data(), 0), "outside");
+    EXPECT_DEATH(t.add(big), "outside");
+}
+
+TEST(TraceReplay, CyclesThroughTheTrace)
+{
+    Trace t;
+    t.add(std::vector<std::uint8_t>(64, 1));
+    t.add(std::vector<std::uint8_t>(100, 2));
+    TraceReplay r(t);
+    std::uint8_t buf[kMaxFrameLen];
+    for (int lap = 0; lap < 2; ++lap) {
+        double gap = 0;
+        EXPECT_EQ(r.next_frame(buf, sizeof(buf), &gap), 64u);
+        EXPECT_EQ(buf[63], 1);
+        EXPECT_EQ(gap, 1.0);
+        EXPECT_EQ(r.next_frame(buf, sizeof(buf), &gap), 100u);
+        EXPECT_EQ(buf[99], 2);
+    }
 }
 
 TEST(FixedTrace, SizesAndFlows)
