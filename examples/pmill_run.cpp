@@ -9,217 +9,66 @@
  *       --freq 1.2 --offered 60 --size 64
  *   example_pmill_run configs/router.click --opt all --verify
  *
- * Options:
- *   --opt vanilla|devirt|constants|static|all|packetmill|lto-reorder
- *   --model copying|overlaying|xchange|parking
- *                       (metadata model override)
- *   --park-split BYTES  parking model header/payload split point
- *                       (default 96): frames longer than this keep
- *                       only the first BYTES in the data buffer and
- *                       park the rest. Requires --model parking (or
- *                       an --opt level that selects it); rejected
- *                       otherwise.
- *   --freq GHZ          core frequency (default 2.3)
- *   --offered GBPS      offered load (default 100)
- *   --cores N           RSS cores (default 1)
- *   --host-threads N    host worker threads driving the simulated
- *                       cores (default 1). N > 1 runs the epoch
- *                       scheduler in parallel; results are
- *                       bit-identical for every N. Rejected when N
- *                       exceeds --cores; tracing forces N = 1 (with a
- *                       warning) because the trace ring is shared.
- *   --nics N            NICs (default 1). Every NIC fans out over one
- *                       RX queue per core, so --cores 4 --nics 2 has
- *                       each core polling its queue on both devices.
- *   --sockets N         NUMA sockets (default 1). Cores split across
- *                       sockets in contiguous blocks; each core's
- *                       pipeline state and mempools are homed on its
- *                       own socket and remote DRAM fills pay the
- *                       remote-access penalty.
- *   --rss-table N       per-NIC RSS indirection table with N buckets
- *                       (power of two, like the mlx5 RETA); 0 (the
- *                       default) keeps the legacy `hash % queues`
- *                       spread. The table is reprogrammable at run
- *                       time through the control loop.
- *   --queue-weight W    initial round-robin weight applied to every
- *                       polled queue (default 1). Validated here to
- *                       the engine's [1, 64] actuation range, so a
- *                       bad config is a clean error, not an abort.
- *   --size BYTES        fixed-size traffic instead of the campus trace
- *   --workload SPEC     synthesize traffic instead of replaying a
- *                       trace: an inline spec like
- *                       "zipf:flows=1000000,skew=1.1,burst=8" or a
- *                       spec file (see configs/workloads/). Kinds:
- *                       uniform, zipf, churn, synflood, portscan.
- *                       Prints generator and flow-table statistics
- *                       after the run. Incompatible with --size and
- *                       --verify (which replay traces).
- *   --duration US       measured interval (default 2500)
- *   --verify            check equivalence against the vanilla build
- *   --report            print the PacketMill optimization report
- *   --explain           print the cycle-accounting bottleneck report
- *                       (same renderer as pmill_explain)
- *   --json              emit the results as a JSON object
- *   --stats-json PATH   write the sampled telemetry time-series,
- *                       cycle-accounting breakdown ({"type":"acct"}
- *                       lines, pmill_explain's input), per-element
- *                       cost breakdown, and run summary as JSON Lines
- *   --stats-csv PATH    write the sampled time-series as CSV
- *   --sample-interval-us N  telemetry snapshot period (default 100)
- *   --trace-out PATH    write a Chrome/Perfetto trace-event JSON of
- *                       the measured window (load in ui.perfetto.dev)
- *   --trace-jsonl PATH  write the raw trace ring + tail attribution
- *                       as JSON Lines
- *   --trace-sample-rate R   fraction of packets traced per-packet
- *                       (default 1.0; batch events are always traced)
- *   --profile-out PATH  capture run: record rule hits + lifecycle
- *                       events, distill them into a Profile artifact
- *   --profile-in PATH   guided run: load a Profile, apply its
- *                       searched plan (rule orders, burst, model,
- *                       state placement) before/while grinding
- *   --control POLICY    closed-loop control: hysteresis|aimd|steer.
- *                       The controller watches the sampled telemetry
- *                       and retunes RX burst / poll backoff / queue
- *                       weights mid-run, within validated limits
- *                       (derived from the plan when --profile-in is
- *                       given). The steer policy instead migrates hot
- *                       indirection-table buckets (NIC RETA with
- *                       --rss-table, else the FlowSteer fabric) from
- *                       the hottest core to the coldest. Decisions are
- *                       appended to the stats JSONL as
- *                       {"type":"decision",...} lines.
- *   --decision-log PATH write the decision log as JSON Lines
- *                       (requires --control)
- *   --load-step-us US   switch the offered load this long after
- *                       measurement starts (0 = never) ...
- *   --load-step-gbps G  ... to this rate (the adaptive-control
- *                       experiment's load step)
- *
- * Every option also accepts the `--name=value` form. Numeric values
- * are validated strictly: a malformed or out-of-range value (e.g.\
- * `--trace-sample-rate=0` or `--cores=abc`) is rejected with an
- * error, not silently clamped. Enabling any trace output prints the
- * tail-latency attribution table: where the packets above the run's
- * p99 spent their extra time. `--verify` with `--profile-in` checks
- * the profile-guided plan against the unguided build of the same
- * configuration instead of the vanilla baseline.
+ * The options, their ranges and defaults are the flag table in main();
+ * `example_pmill_run --help` prints them. Cross-flag rules run after
+ * the whole argv is parsed, so flag order never matters.
  */
 
 #include <chrono>
+#include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <map>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/common/cli.hh"
 #include "src/pmill.hh"
 
 using namespace pmill;
 
 namespace {
 
-[[noreturn]] void
-usage(const char *argv0)
+const std::map<std::string, PipelineOpts (*)()> kOptLevels = {
+    {"vanilla", opts_vanilla},
+    {"devirt", opts_devirtualize},
+    {"constants", opts_constants},
+    {"static", opts_static_graph},
+    {"all", opts_source_all},
+    {"packetmill", opts_packetmill},
+    {"lto-reorder", opts_lto_reorder},
+};
+
+const std::map<std::string, MetadataModel> kModels = {
+    {"copying", MetadataModel::kCopying},
+    {"overlaying", MetadataModel::kOverlaying},
+    {"xchange", MetadataModel::kXchange},
+    {"parking", MetadataModel::kParking},
+};
+
+template <typename T>
+std::vector<std::string>
+names_of(const std::map<std::string, T> &table)
 {
-    std::fprintf(stderr,
-                 "usage: %s <config.click> [--opt LEVEL] [--model M] "
-                 "[--park-split BYTES] "
-                 "[--freq GHZ] [--offered GBPS] [--cores N] "
-                 "[--host-threads N] [--nics N] [--sockets N] "
-                 "[--rss-table N] [--queue-weight W] "
-                 "[--size BYTES] [--workload SPEC] [--duration US] "
-                 "[--verify] [--report] [--explain] "
-                 "[--json] [--stats-json PATH] [--stats-csv PATH] "
-                 "[--sample-interval-us N] [--trace-out PATH] "
-                 "[--trace-jsonl PATH] [--trace-sample-rate R] "
-                 "[--profile-out PATH] [--profile-in PATH] "
-                 "[--control hysteresis|aimd|steer] "
-                 "[--decision-log PATH] "
-                 "[--load-step-us US] [--load-step-gbps GBPS]\n",
-                 argv0);
-    std::exit(2);
+    std::vector<std::string> names;
+    for (const auto &entry : table)
+        names.push_back(entry.first);
+    return names;
 }
 
-[[noreturn]] void
-flag_error(const char *flag, const char *expect, const char *got)
+/** Print a usage error and return pmill_run's usage-error exit code. */
+[[gnu::format(printf, 1, 2)]] int
+reject(const char *fmt, ...)
 {
-    std::fprintf(stderr, "pmill_run: %s expects %s, got '%s'\n", flag,
-                 expect, got);
-    std::exit(2);
-}
-
-/**
- * Parse @p s as a double in [@p lo, @p hi] for @p flag; the whole
- * string must be numeric. @p lo_exclusive makes the lower bound
- * strict (e.g.\ rates in (0, 1]).
- */
-double
-parse_double_arg(const char *flag, const char *s, double lo, double hi,
-                 const char *expect, bool lo_exclusive = false)
-{
-    char *end = nullptr;
-    const double v = std::strtod(s, &end);
-    if (end == s || *end != '\0')
-        flag_error(flag, expect, s);
-    if (v < lo || v > hi || (lo_exclusive && v <= lo))
-        flag_error(flag, expect, s);
-    return v;
-}
-
-/** Parse @p s as an unsigned integer in [@p lo, @p hi] for @p flag. */
-std::uint32_t
-parse_u32_arg(const char *flag, const char *s, std::uint32_t lo,
-              std::uint32_t hi, const char *expect)
-{
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (end == s || *end != '\0')
-        flag_error(flag, expect, s);
-    if (v < lo || v > hi)
-        flag_error(flag, expect, s);
-    return static_cast<std::uint32_t>(v);
-}
-
-bool
-pick_opts(const std::string &name, PipelineOpts *out)
-{
-    if (name == "vanilla")
-        *out = opts_vanilla();
-    else if (name == "devirt")
-        *out = opts_devirtualize();
-    else if (name == "constants")
-        *out = opts_constants();
-    else if (name == "static")
-        *out = opts_static_graph();
-    else if (name == "all")
-        *out = opts_source_all();
-    else if (name == "packetmill")
-        *out = opts_packetmill();
-    else if (name == "lto-reorder")
-        *out = opts_lto_reorder();
-    else
-        return false;
-    return true;
-}
-
-bool
-pick_model(const std::string &name, MetadataModel *out)
-{
-    if (name == "copying")
-        *out = MetadataModel::kCopying;
-    else if (name == "overlaying")
-        *out = MetadataModel::kOverlaying;
-    else if (name == "xchange")
-        *out = MetadataModel::kXchange;
-    else if (name == "parking")
-        *out = MetadataModel::kParking;
-    else
-        return false;
-    return true;
+    std::va_list ap;
+    va_start(ap, fmt);
+    std::fputs("pmill_run: ", stderr);
+    std::vfprintf(stderr, fmt, ap);
+    std::fputc('\n', stderr);
+    va_end(ap);
+    return 2;
 }
 
 } // namespace
@@ -227,14 +76,7 @@ pick_model(const std::string &name, MetadataModel *out)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
-        usage(argv[0]);
-
-    const std::string config_path = argv[1];
-    // The --opt preset is applied first and --model overrides its
-    // model afterwards, whatever order the flags came in.
-    PipelineOpts opts = opts_vanilla();
-    std::optional<MetadataModel> model;
+    std::string opt_level = "vanilla", model_name;
     double freq = 2.3, offered = 100.0, duration_us = 2500.0;
     double sample_us = 100.0;
     std::uint32_t cores = 1, nics = 1, fixed_size = 0;
@@ -251,208 +93,132 @@ main(int argc, char **argv)
     double load_step_us = 0.0, load_step_gbps = 0.0;
     double trace_rate = 1.0;
 
-    for (int i = 2; i < argc; ++i) {
-        std::string a = argv[i];
-        // Accept both "--name value" and "--name=value".
-        std::string inline_val;
-        bool has_inline = false;
-        if (a.rfind("--", 0) == 0) {
-            const std::size_t eq = a.find('=');
-            if (eq != std::string::npos) {
-                inline_val = a.substr(eq + 1);
-                a.resize(eq);
-                has_inline = true;
-            }
-        }
-        auto next = [&]() -> const char * {
-            if (has_inline)
-                return inline_val.c_str();
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            return argv[++i];
-        };
-        if (a == "--opt") {
-            const char *v = next();
-            if (!pick_opts(v, &opts))
-                flag_error("--opt",
-                           "vanilla|devirt|constants|static|all|"
-                           "packetmill|lto-reorder",
-                           v);
-        } else if (a == "--model") {
-            MetadataModel m;
-            const char *v = next();
-            if (!pick_model(v, &m))
-                flag_error("--model",
-                           "copying|overlaying|xchange|parking", v);
-            model = m;
-        } else if (a == "--park-split") {
-            park_split = parse_u32_arg(
-                "--park-split", next(), 64, 1514,
-                "a split point in [64, 1514] bytes");
-        } else if (a == "--freq") {
-            freq = parse_double_arg("--freq", next(), 0.0, 10.0,
-                                    "a frequency in (0, 10] GHz", true);
-        } else if (a == "--offered") {
-            offered = parse_double_arg("--offered", next(), 0.0, 1000.0,
-                                       "a load in (0, 1000] Gbps", true);
-        } else if (a == "--cores") {
-            cores = parse_u32_arg("--cores", next(), 1, 64,
-                                  "a core count in [1, 64]");
-        } else if (a == "--host-threads") {
-            host_threads =
-                parse_u32_arg("--host-threads", next(), 1, 64,
-                              "a host thread count in [1, 64]");
-        } else if (a == "--nics") {
-            nics = parse_u32_arg("--nics", next(), 1, 8,
-                                 "a NIC count in [1, 8]");
-        } else if (a == "--sockets") {
-            sockets = parse_u32_arg("--sockets", next(), 1, 8,
-                                    "a socket count in [1, 8]");
-        } else if (a == "--rss-table") {
-            const char *v = next();
-            rss_table = parse_u32_arg(
-                "--rss-table", v, 0, 65536,
-                "a power-of-two bucket count in [2, 65536] "
-                "(0 = legacy modulo)");
-            if (rss_table != 0 && (rss_table & (rss_table - 1)) != 0)
-                flag_error("--rss-table",
-                           "a power-of-two bucket count in [2, 65536] "
-                           "(0 = legacy modulo)",
-                           v);
-        } else if (a == "--queue-weight") {
-            // The engine's actuation surface hard-asserts [1, 64]
-            // (internal callers are pre-clamped); the config boundary
-            // validates instead, so a bad flag is a clean exit 2.
-            queue_weight = parse_u32_arg("--queue-weight", next(), 1, 64,
-                                         "a weight in [1, 64]");
-        } else if (a == "--size") {
-            fixed_size = parse_u32_arg("--size", next(), 60, 1514,
-                                       "a frame size in [60, 1514] bytes");
-        } else if (a == "--workload") {
-            workload_arg = next();
-        } else if (a == "--duration") {
-            duration_us =
-                parse_double_arg("--duration", next(), 0.0, 1e9,
-                                 "a duration in (0, 1e9] us", true);
-        } else if (a == "--verify") {
-            do_verify = true;
-        } else if (a == "--report") {
-            do_report = true;
-        } else if (a == "--json") {
-            do_json = true;
-        } else if (a == "--explain") {
-            do_explain = true;
-        } else if (a == "--stats-json") {
-            stats_json_path = next();
-        } else if (a == "--stats-csv") {
-            stats_csv_path = next();
-        } else if (a == "--sample-interval-us") {
-            sample_us = parse_double_arg(
-                "--sample-interval-us", next(), 0.0, 1e9,
-                "a period in [0, 1e9] us (0 disables sampling)");
-        } else if (a == "--trace-out") {
-            trace_out_path = next();
-        } else if (a == "--trace-jsonl") {
-            trace_jsonl_path = next();
-        } else if (a == "--trace-sample-rate") {
-            trace_rate = parse_double_arg("--trace-sample-rate", next(),
-                                          0.0, 1.0,
-                                          "a fraction in (0, 1]", true);
-        } else if (a == "--profile-out") {
-            profile_out_path = next();
-        } else if (a == "--profile-in") {
-            profile_in_path = next();
-        } else if (a == "--control") {
-            control_policy = next();
-            // Validate the name up front (the factory is the single
-            // source of truth for the known policies).
-            if (!make_policy(control_policy, ActuationLimits{},
-                             PolicyConfig{}))
-                flag_error("--control", "hysteresis|aimd|steer",
-                           control_policy.c_str());
-        } else if (a == "--decision-log") {
-            decision_log_path = next();
-        } else if (a == "--load-step-us") {
-            load_step_us = parse_double_arg(
-                "--load-step-us", next(), 0.0, 1e9,
-                "a time in [0, 1e9] us (0 = no step)");
-        } else if (a == "--load-step-gbps") {
-            load_step_gbps = parse_double_arg(
-                "--load-step-gbps", next(), 0.0, 1000.0,
-                "a load in (0, 1000] Gbps", true);
-        } else {
-            usage(argv[0]);
-        }
-        if (has_inline &&
-            (a == "--verify" || a == "--report" || a == "--json" ||
-             a == "--explain"))
-            usage(argv[0]);
-    }
+    using U32 = CliFlag::U32;
+    using Double = CliFlag::Double;
+    using Choice = CliFlag::Choice;
+    const CliSpec spec{"pmill_run", {"<config.click>"}, {
+        {"--opt", "LEVEL", "optimization preset (default vanilla)",
+         Choice{&opt_level, names_of(kOptLevels)}},
+        {"--model", "M", "metadata model, overriding the --opt preset's",
+         Choice{&model_name, names_of(kModels)}},
+        {"--park-split", "BYTES",
+         "parking header/payload split (default 96); needs --model parking",
+         U32{&park_split, 64, 1514}},
+        {"--freq", "GHZ", "core frequency (default 2.3)",
+         Double{.out = &freq, .lo = 0, .hi = 10, .lo_open = true}},
+        {"--offered", "GBPS", "offered load (default 100)",
+         Double{.out = &offered, .lo = 0, .hi = 1000, .lo_open = true}},
+        {"--cores", "N", "RSS cores (default 1)", U32{&cores, 1, 64}},
+        {"--host-threads", "N",
+         "host workers (default 1, at most --cores); results are "
+         "bit-identical for every N; tracing forces 1",
+         U32{&host_threads, 1, 64}},
+        {"--nics", "N", "NICs, one RX queue per core each (default 1)",
+         U32{&nics, 1, 8}},
+        {"--sockets", "N", "NUMA sockets (default 1, at most --cores)",
+         U32{&sockets, 1, 8}},
+        {"--rss-table", "N",
+         "RSS indirection table buckets, a power of two >= 2 "
+         "(default 0: the legacy hash % queues spread)",
+         U32{&rss_table, 0, 65536}},
+        {"--queue-weight", "W", "round-robin weight of every queue (default 1)",
+         U32{&queue_weight, 1, 64}},
+        {"--size", "BYTES", "fixed-size traffic instead of the campus trace",
+         U32{&fixed_size, 60, 1514}},
+        {"--workload", "SPEC",
+         "synthesize traffic from an inline spec (zipf:flows=1000000, "
+         "skew=1.1,burst=8) or a spec file; not with --size, --verify",
+         &workload_arg},
+        {"--duration", "US", "measured interval (default 2500)",
+         Double{.out = &duration_us, .lo = 0, .hi = 1e9, .lo_open = true}},
+        {"--verify", "", "check equivalence against the vanilla build "
+         "(with --profile-in: against the unguided build)", &do_verify},
+        {"--report", "", "print the PacketMill optimization report",
+         &do_report},
+        {"--explain", "", "print the cycle-accounting bottleneck report",
+         &do_explain},
+        {"--json", "", "print the results as a JSON object", &do_json},
+        {"--stats-json", "PATH", "write samples, cycle ledger, element "
+         "costs and the run summary as JSON Lines", &stats_json_path},
+        {"--stats-csv", "PATH", "write the samples as CSV", &stats_csv_path},
+        {"--sample-interval-us", "N",
+         "telemetry sample period (default 100, 0 = no sampling)",
+         Double{.out = &sample_us, .lo = 0, .hi = 1e9}},
+        {"--trace-out", "PATH", "write a Chrome/Perfetto trace",
+         &trace_out_path},
+        {"--trace-jsonl", "PATH", "write the trace and tail attribution",
+         &trace_jsonl_path},
+        {"--trace-sample-rate", "R", "fraction of packets traced (default 1)",
+         Double{.out = &trace_rate, .lo = 0, .hi = 1, .lo_open = true}},
+        {"--profile-out", "PATH", "capture a Profile of this run",
+         &profile_out_path},
+        {"--profile-in", "PATH", "apply a Profile's searched plan",
+         &profile_in_path},
+        {"--control", "POLICY", "closed-loop control; needs sampling",
+         Choice{&control_policy, {"hysteresis", "aimd", "steer"}}},
+        {"--decision-log", "PATH", "write the controller's decisions as "
+         "JSON Lines; needs --control", &decision_log_path},
+        {"--load-step-us", "US", "step the offered load this long into the "
+         "measured window (0 = never); needs --load-step-gbps",
+         Double{.out = &load_step_us, .lo = 0, .hi = 1e9}},
+        {"--load-step-gbps", "GBPS", "offered load after the load step",
+         Double{.out = &load_step_gbps, .lo = 0, .hi = 1000, .lo_open = true}},
+    }};
+    const CliResult args = cli_parse(spec, argc, argv);
+    if (const int rc = cli_report(spec, args); rc >= 0)
+        return rc;
+    const std::string &config_path = args.positionals[0];
 
-    // Cross-flag validation: reject inconsistent combinations with a
-    // clean diagnostic instead of tripping an engine assertion.
-    if (sockets > cores) {
-        std::fprintf(stderr,
-                     "pmill_run: --sockets %u exceeds --cores %u (a "
-                     "socket with no core would never be accessed)\n",
-                     sockets, cores);
-        return 2;
-    }
-    if (host_threads > cores) {
-        std::fprintf(stderr,
-                     "pmill_run: --host-threads %u exceeds --cores %u "
-                     "(a worker with no simulated core to drive would "
-                     "idle forever)\n",
-                     host_threads, cores);
-        return 2;
-    }
-    if (model)
-        opts.model = *model;
+    // Rules the flag table cannot express (power-of-two buckets and
+    // cross-flag combinations): a clean diagnostic instead of an engine
+    // assertion.
+    if (sockets > cores)
+        return reject("--sockets %u exceeds --cores %u (a socket with no "
+                      "core would never be accessed)",
+                      sockets, cores);
+    if (host_threads > cores)
+        return reject("--host-threads %u exceeds --cores %u (a worker with "
+                      "no simulated core to drive would idle forever)",
+                      host_threads, cores);
+    if (rss_table == 1 || (rss_table & (rss_table - 1)) != 0)
+        return reject("--rss-table expects a power-of-two bucket count in "
+                      "[2, 65536] (0 = legacy modulo), got '%u'",
+                      rss_table);
+    // The --opt preset is applied first and --model overrides its
+    // model afterwards, whatever order the flags came in.
+    PipelineOpts opts = kOptLevels.at(opt_level)();
+    if (!model_name.empty())
+        opts.model = kModels.at(model_name);
     if (park_split != 0) {
         // The split only exists in the parking datapath; silently
         // accepting it under another model would look like it worked.
-        if (opts.model != MetadataModel::kParking) {
-            std::fprintf(stderr,
-                         "pmill_run: --park-split requires the parking "
-                         "metadata model (--model parking)\n");
-            return 2;
-        }
+        if (opts.model != MetadataModel::kParking)
+            return reject("--park-split requires the parking metadata "
+                          "model (--model parking)");
         opts.park_split_bytes = park_split;
     }
-    if (!decision_log_path.empty() && control_policy.empty()) {
-        std::fprintf(stderr,
-                     "pmill_run: --decision-log requires --control\n");
-        return 2;
-    }
-    if ((load_step_us > 0) != (load_step_gbps > 0)) {
-        std::fprintf(stderr,
-                     "pmill_run: --load-step-us and --load-step-gbps "
-                     "must be given together\n");
-        return 2;
-    }
+    if (!decision_log_path.empty() && control_policy.empty())
+        return reject("--decision-log requires --control");
+    // The controller acts on sampled telemetry; without samples it
+    // would run and never decide anything.
+    if (!control_policy.empty() && sample_us == 0)
+        return reject("--control needs telemetry samples, but "
+                      "--sample-interval-us 0 disables sampling");
+    if ((load_step_us > 0) != (load_step_gbps > 0))
+        return reject("--load-step-us and --load-step-gbps must be "
+                      "given together");
     const bool use_workload = !workload_arg.empty();
-    if (use_workload && fixed_size) {
-        std::fprintf(stderr,
-                     "pmill_run: --workload and --size are mutually "
-                     "exclusive (a workload defines its own sizes)\n");
-        return 2;
-    }
-    if (use_workload && do_verify) {
-        std::fprintf(stderr,
-                     "pmill_run: --verify replays a trace and cannot be "
-                     "combined with --workload\n");
-        return 2;
-    }
+    if (use_workload && fixed_size)
+        return reject("--workload and --size are mutually exclusive (a "
+                      "workload defines its own sizes)");
+    if (use_workload && do_verify)
+        return reject("--verify replays a trace and cannot be combined "
+                      "with --workload");
 
     WorkloadSpec wspec;
-    if (use_workload) {
-        std::string werr;
-        if (!load_workload_spec(workload_arg, &wspec, &werr)) {
-            std::fprintf(stderr, "pmill_run: bad --workload: %s\n",
-                         werr.c_str());
-            return 2;
-        }
-    }
+    std::string werr;
+    if (use_workload && !load_workload_spec(workload_arg, &wspec, &werr))
+        return reject("bad --workload: %s", werr.c_str());
 
     std::ifstream in(config_path);
     if (!in) {
@@ -525,15 +291,6 @@ main(int argc, char **argv)
 
     const bool tracing =
         !trace_out_path.empty() || !trace_jsonl_path.empty();
-    if (tracing && host_threads > 1) {
-        // The engine would print the same warning; saying it here too
-        // makes the cause visible next to the flags that triggered it.
-        std::fprintf(stderr,
-                     "pmill_run: warning: tracing serializes host "
-                     "execution (the trace ring is shared); running "
-                     "with 1 worker instead of %u\n",
-                     host_threads);
-    }
     if (tracing) {
         TracerConfig tc;
         tc.sample_rate = trace_rate;

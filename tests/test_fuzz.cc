@@ -1,12 +1,13 @@
 /**
  * @file
- * Robustness fuzzing: the configuration parser, frame parser, and
- * pipeline builder must never crash on malformed input — they must
- * either succeed or fail cleanly with an error.
+ * Robustness fuzzing: the configuration parser, frame parser, argv
+ * parser and pipeline builder must never crash on malformed input —
+ * they must either succeed or fail cleanly with an error.
  */
 
 #include <gtest/gtest.h>
 
+#include "src/common/cli.hh"
 #include "src/common/random.hh"
 #include "src/framework/config_parser.hh"
 #include "src/framework/pipeline.hh"
@@ -140,6 +141,74 @@ TEST(FuzzEngine, MalformedTrafficFlowsThroughTheRouter)
     // Everything is classifier-dropped or ARP-dropped; nothing crashes.
     EXPECT_GE(engine.pipeline().dropped(), 1u);
     (void)r;
+}
+
+TEST(FuzzCli, RandomArgvFailsCleanly)
+{
+    // Argv built from the table's own spellings, '=', and random
+    // tokens: every parse ends in help, an error message, or a result
+    // with exactly the declared positionals — never an abort.
+    bool sw = false;
+    std::string str, choice = "a";
+    std::uint32_t u = 7;
+    double d = 1.0;
+    const CliSpec spec{"fuzz", {"<in>", "<out>"}, {
+        {"--switch", "", "a switch", &sw, "-s"},
+        {"--str", "S", "a string", &str},
+        {"--u32", "N", "an integer", CliFlag::U32{&u, 2, 100}, "-n"},
+        {"--dbl", "X", "a number",
+         CliFlag::Double{.out = &d, .lo = 0, .hi = 1, .lo_open = true}},
+        {"--choice", "C", "a choice", CliFlag::Choice{&choice, {"a", "bc"}}},
+    }};
+    const char *pieces[] = {
+        "--switch", "-s", "--str", "--u32", "-n", "--dbl", "--choice",
+        "--help", "-h", "-", "--", "=", "", "0", "1", "0.5", "100", "101",
+        "-1", "1e999", "nan", "inf", "5x", "a", "bc", "x", " ", "--u",
+        "\xff", "=5", "--u32=", "--dbl=0x1p-1"};
+    const char alphabet[] = "-=01239.eanfx+ s";
+    Xorshift64 rng(0xC11);
+    int helps = 0, errors = 0, oks = 0;
+    for (int iter = 0; iter < 5000; ++iter) {
+        std::vector<std::string> toks{"fuzz"};
+        const std::size_t n = rng.next_below(7);
+        for (std::size_t i = 0; i < n; ++i) {
+            std::string t;
+            const int parts = 1 + static_cast<int>(rng.next_below(3));
+            for (int p = 0; p < parts; ++p) {
+                if (rng.next_below(4) == 0) {
+                    for (std::size_t c = rng.next_below(5); c > 0; --c)
+                        t += alphabet[rng.next_below(sizeof(alphabet) - 1)];
+                } else {
+                    t += pieces[rng.next_below(std::size(pieces))];
+                }
+            }
+            toks.push_back(t);
+        }
+        std::vector<const char *> argv;
+        for (const std::string &t : toks)
+            argv.push_back(t.c_str());
+        const CliResult r =
+            cli_parse(spec, static_cast<int>(argv.size()), argv.data());
+        if (r.help) {
+            EXPECT_TRUE(r.ok());
+            ++helps;
+        } else if (!r.ok()) {
+            ++errors;
+        } else {
+            EXPECT_EQ(r.positionals.size(), 2u);
+            ++oks;
+        }
+        // Whatever happened, the targets hold in-range values.
+        EXPECT_GE(u, 2u);
+        EXPECT_LE(u, 100u);
+        EXPECT_GT(d, 0.0);
+        EXPECT_LE(d, 1.0);
+        EXPECT_TRUE(choice == "a" || choice == "bc");
+    }
+    // The generator reaches every outcome.
+    EXPECT_GT(helps, 0);
+    EXPECT_GT(errors, 0);
+    EXPECT_GT(oks, 0);
 }
 
 } // namespace

@@ -2,9 +2,8 @@
  * @file
  * pmill_bench_diff: CI gate comparing two bench-artifact directories.
  *
- * Usage:
- *   pmill_bench_diff <baseline_dir> <current_dir>
- *                    [--threshold PCT] [--host-threshold PCT] [--verbose]
+ * Usage: pmill_bench_diff <baseline_dir> <current_dir> [options]
+ * (`--help` lists the options).
  *
  * Exits 0 when every tracked metric (throughput-like up, latency-like
  * down, "eq" columns unchanged bit-for-bit) of every baseline artifact
@@ -15,65 +14,38 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 
+#include "src/common/cli.hh"
 #include "src/telemetry/bench_diff.hh"
-
-namespace {
-
-void
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s <baseline_dir> <current_dir> "
-                 "[--threshold PCT] [--host-threshold PCT] [--verbose]\n",
-                 argv0);
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string base_dir, cur_dir;
+    constexpr double kInf = std::numeric_limits<double>::infinity();
     double threshold = 5.0;
     double host_threshold = -1.0;  // informational by default
     bool verbose = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--verbose" || arg == "-v") {
-            verbose = true;
-        } else if (arg == "--threshold" && i + 1 < argc) {
-            threshold = std::atof(argv[++i]);
-        } else if (arg.rfind("--threshold=", 0) == 0) {
-            threshold = std::atof(arg.c_str() + std::strlen("--threshold="));
-        } else if (arg == "--host-threshold" && i + 1 < argc) {
-            host_threshold = std::atof(argv[++i]);
-        } else if (arg.rfind("--host-threshold=", 0) == 0) {
-            host_threshold =
-                std::atof(arg.c_str() + std::strlen("--host-threshold="));
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else if (base_dir.empty()) {
-            base_dir = arg;
-        } else if (cur_dir.empty()) {
-            cur_dir = arg;
-        } else {
-            usage(argv[0]);
-            return 2;
-        }
-    }
-    if (base_dir.empty() || cur_dir.empty() || threshold <= 0) {
-        usage(argv[0]);
-        return 2;
-    }
+    using Double = pmill::CliFlag::Double;
+    const pmill::CliSpec spec{
+        "pmill_bench_diff", {"<baseline_dir>", "<current_dir>"}, {
+            {"--threshold", "PCT",
+             "regression gate for simulated metrics (default 5)",
+             Double{.out = &threshold, .lo = 0, .hi = kInf, .lo_open = true}},
+            {"--host-threshold", "PCT",
+             "gate wall-clock columns too (default, or negative: "
+             "informational)",
+             Double{.out = &host_threshold, .lo = -kInf, .hi = kInf}},
+            {"--verbose", "", "list every compared column", &verbose, "-v"},
+        }};
+    const pmill::CliResult args = pmill::cli_parse(spec, argc, argv);
+    if (const int rc = pmill::cli_report(spec, args); rc >= 0)
+        return rc;
 
-    const pmill::BenchDiffResult res =
-        pmill::diff_bench_dirs(base_dir, cur_dir, threshold, host_threshold);
+    const pmill::BenchDiffResult res = pmill::diff_bench_dirs(
+        args.positionals[0], args.positionals[1], threshold, host_threshold);
     std::fputs(res.to_string(verbose).c_str(), stdout);
     if (res.ok()) {
         std::printf("PASS\n");

@@ -6,6 +6,7 @@
  * Usage:
  *   pmill_explain <stats.jsonl> [--top N]
  *   pmill_explain -            # read stdin
+ *   pmill_explain --help       # list the options
  *
  * The input is any JSONL stream containing the `{"type":"acct"}` /
  * `{"type":"acct_check"}` lines that `pmill_run --stats-json` (or any
@@ -16,52 +17,30 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 
 #include "src/accounting/acct_report.hh"
-
-namespace {
-
-void
-usage(const char *argv0)
-{
-    std::fprintf(stderr, "usage: %s <stats.jsonl | -> [--top N]\n", argv0);
-}
-
-} // namespace
+#include "src/common/cli.hh"
 
 int
 main(int argc, char **argv)
 {
-    std::string path;
-    std::size_t top_n = 5;
+    std::uint32_t top_n = 5;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--top" && i + 1 < argc) {
-            top_n = static_cast<std::size_t>(std::atoi(argv[++i]));
-        } else if (arg.rfind("--top=", 0) == 0) {
-            top_n = static_cast<std::size_t>(
-                std::atoi(arg.c_str() + std::strlen("--top=")));
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else if (path.empty()) {
-            path = arg;
-        } else {
-            usage(argv[0]);
-            return 2;
-        }
-    }
-    if (path.empty() || top_n == 0) {
-        usage(argv[0]);
-        return 2;
-    }
+    const pmill::CliSpec spec{
+        "pmill_explain", {"<stats.jsonl | ->"}, {
+            {"--top", "N", "elements to rank by attributed stall (default 5)",
+             pmill::CliFlag::U32{&top_n, 1,
+                                 std::numeric_limits<std::uint32_t>::max()}},
+        }};
+    const pmill::CliResult args = pmill::cli_parse(spec, argc, argv);
+    if (const int rc = pmill::cli_report(spec, args); rc >= 0)
+        return rc;
+    const std::string &path = args.positionals[0];
 
     pmill::AcctReport report;
     std::string err;
