@@ -308,6 +308,53 @@ TEST(TracingEngine, ChromeTraceIsBalanced)
     EXPECT_EQ(depth, 0);
 }
 
+TEST(TraceExport, JsonlBytesArePinned)
+{
+    Tracer t(TracerConfig{});
+    const std::uint16_t rx = t.intern("rx\"q");
+    const std::uint16_t el = t.intern(std::string("el\x01") + "x");
+    t.set_core(3);
+    t.record(TraceEventKind::kRxPacket, 1500.25, 18446744073709551615ull, 0,
+             rx, 64);
+    t.record(TraceEventKind::kElementExit, 1e12, 0, 42, el, 32, 123.5,
+             -45.25);
+    t.set_core(0);
+    t.record(TraceEventKind::kDrop, 0, 0, 4294967295u, 0, 3);
+    std::ostringstream os;
+    export_trace_jsonl(t, os);
+    EXPECT_EQ(os.str(),
+              "{\"kind\":\"rx_packet\",\"t_ns\":1500.25,\"core\":3,"
+              "\"batch\":0,\"packet\":18446744073709551615,"
+              "\"span\":\"rx\\\"q\",\"arg\":64}\n"
+              "{\"kind\":\"element_exit\",\"t_ns\":1e+12,\"core\":3,"
+              "\"batch\":42,\"packet\":0,\"span\":\"el\\u0001x\",\"arg\":32,"
+              "\"cycles\":123.5,\"dur_ns\":-45.25}\n"
+              "{\"kind\":\"drop\",\"t_ns\":0,\"core\":0,\"batch\":4294967295,"
+              "\"packet\":0,\"span\":\"\",\"arg\":3}\n");
+}
+
+TEST(TailAttributionJsonl, BytesArePinned)
+{
+    TailAttribution att;
+    att.threshold_us = 12.5;
+    att.num_complete = 1000;
+    att.num_tail = 10;
+    att.rows = {{"el\"a", 1.5, 3.25, 1.75, 100.0},
+                {"rx", 0.1, 0.05, -0.05, 0.0}};
+    att.dominant_stage = "el\"a";
+    std::ostringstream os;
+    att.write_jsonl(os);
+    EXPECT_EQ(os.str(),
+              "{\"type\":\"tail_attribution\",\"threshold_us\":12.5,"
+              "\"num_complete\":1000,\"num_tail\":10,"
+              "\"dominant_stage\":\"el\\\"a\",\"dominant_element\":\"\"}\n"
+              "{\"type\":\"tail_stage\",\"stage\":\"el\\\"a\","
+              "\"mean_us_all\":1.5,\"mean_us_tail\":3.25,\"excess_us\":1.75,"
+              "\"share_pct\":100}\n"
+              "{\"type\":\"tail_stage\",\"stage\":\"rx\",\"mean_us_all\":0.1,"
+              "\"mean_us_tail\":0.05,\"excess_us\":-0.05,\"share_pct\":0}\n");
+}
+
 TEST(TracingEngine, JsonlExportsOneLinePerRecord)
 {
     PMILL_REQUIRE_TRACING();
