@@ -379,14 +379,12 @@ main(int argc, char **argv)
                          stats_json_path.c_str());
             return 1;
         }
-        out << "{\"type\":\"meta\",\"config\":\""
-            << json_escape(config_path) << "\",\"model\":\""
-            << json_escape(metadata_model_name(opts.model))
-            << "\",\"freq_ghz\":" << json_number(freq)
-            << ",\"cores\":" << cores << ",\"nics\":" << nics
-            << ",\"offered_gbps\":" << json_number(offered)
-            << ",\"sample_interval_us\":" << json_number(sample_us)
-            << "}\n";
+        out << JsonRecord("meta")
+                   .str("config", config_path)
+                   .str("model", metadata_model_name(opts.model))
+                   .num("freq_ghz", freq).integer("cores", cores)
+                   .integer("nics", nics).num("offered_gbps", offered)
+                   .num("sample_interval_us", sample_us);
         export_jsonl(engine.timeline(), out);
         if (controller)
             controller->log().write_jsonl(out);
@@ -394,38 +392,30 @@ main(int argc, char **argv)
         for (std::size_t i = 0; i < elems.size() && i < estats.size();
              ++i) {
             const ElementStats &es = estats[i];
-            out << "{\"type\":\"element\",\"name\":\""
-                << json_escape(elems[i]->name()) << "\",\"class\":\""
-                << json_escape(elems[i]->class_name())
-                << "\",\"packets\":" << es.packets
-                << ",\"batches\":" << es.batches
-                << ",\"cycles\":" << json_number(es.cycles)
-                << ",\"mem_ns\":" << json_number(es.mem_ns)
-                << ",\"cycles_per_packet\":"
-                << json_number(es.cycles_per_packet())
-                << ",\"mem_ns_per_packet\":"
-                << json_number(es.mem_ns_per_packet()) << "}\n";
+            out << JsonRecord("element")
+                       .str("name", elems[i]->name())
+                       .str("class", elems[i]->class_name())
+                       .integer("packets", es.packets)
+                       .integer("batches", es.batches)
+                       .num("cycles", es.cycles).num("mem_ns", es.mem_ns)
+                       .num("cycles_per_packet", es.cycles_per_packet())
+                       .num("mem_ns_per_packet", es.mem_ns_per_packet());
         }
-        out << "{\"type\":\"summary\",\"throughput_gbps\":"
-            << json_number(r.throughput_gbps)
-            << ",\"goodput_gbps\":" << json_number(r.goodput_gbps)
-            << ",\"mpps\":" << json_number(r.mpps)
-            << ",\"mean_latency_us\":" << json_number(r.mean_latency_us)
-            << ",\"median_latency_us\":"
-            << json_number(r.median_latency_us)
-            << ",\"p99_latency_us\":" << json_number(r.p99_latency_us)
-            << ",\"tx_pkts\":" << r.tx_pkts
-            << ",\"rx_drops\":" << r.rx_drops
-            << ",\"ipc\":" << json_number(r.ipc)
-            << ",\"llc_kloads_per_100ms\":"
-            << json_number(r.llc_kloads_per_100ms)
-            << ",\"llc_kmisses_per_100ms\":"
-            << json_number(r.llc_kmisses_per_100ms) << "}\n";
-        out << "{\"type\":\"host\",\"wall_s\":" << json_number(host_wall_s)
-            << ",\"sim_s\":" << json_number(sim_s)
-            << ",\"sim_per_wall\":" << json_number(sim_per_wall)
-            << ",\"sim_pkts_per_s\":" << json_number(host_pkts_per_s)
-            << ",\"host_threads\":" << host_threads << "}\n";
+        out << JsonRecord("summary")
+                   .num("throughput_gbps", r.throughput_gbps)
+                   .num("goodput_gbps", r.goodput_gbps).num("mpps", r.mpps)
+                   .num("mean_latency_us", r.mean_latency_us)
+                   .num("median_latency_us", r.median_latency_us)
+                   .num("p99_latency_us", r.p99_latency_us)
+                   .integer("tx_pkts", r.tx_pkts)
+                   .integer("rx_drops", r.rx_drops).num("ipc", r.ipc)
+                   .num("llc_kloads_per_100ms", r.llc_kloads_per_100ms)
+                   .num("llc_kmisses_per_100ms", r.llc_kmisses_per_100ms);
+        out << JsonRecord("host")
+                   .num("wall_s", host_wall_s).num("sim_s", sim_s)
+                   .num("sim_per_wall", sim_per_wall)
+                   .num("sim_pkts_per_s", host_pkts_per_s)
+                   .integer("host_threads", host_threads);
     }
 
     if (!stats_csv_path.empty()) {

@@ -1,40 +1,14 @@
 #include "src/common/cli.hh"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
+
+#include "src/common/json.hh"
 
 namespace pmill {
 
 namespace {
-
-bool
-parse_u32(const std::string &s, const CliFlag::U32 &t)
-{
-    // strtoull negates "-1" into a huge value instead of failing.
-    if (s[0] == '-')
-        return false;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (end == s.c_str() || *end != '\0' || v < t.lo || v > t.hi)
-        return false;
-    *t.out = static_cast<std::uint32_t>(v);
-    return true;
-}
-
-bool
-parse_double(const std::string &s, const CliFlag::Double &t)
-{
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);  // reads "inf", "nan"
-    if (end == s.c_str() || *end != '\0' || !std::isfinite(v) ||
-        v < t.lo || v > t.hi || (t.lo_open && v <= t.lo))
-        return false;
-    *t.out = v;
-    return true;
-}
 
 /** The values a row accepts, as a phrase: "an integer in [1, 64]". */
 std::string
@@ -64,16 +38,20 @@ domain(const CliFlag &f)
 std::string
 assign(const CliFlag &f, const std::string &value)
 {
-    // strtod and strtoull skip leading blanks; a strict number has none.
-    const bool blank =
-        value.empty() || std::isspace(static_cast<unsigned char>(value[0]));
     bool ok = true;
+    std::uint64_t u64 = 0;
+    double f64 = 0;
     if (std::string *const *s = std::get_if<std::string *>(&f.target)) {
         **s = value;
     } else if (const auto *u = std::get_if<CliFlag::U32>(&f.target)) {
-        ok = !blank && parse_u32(value, *u);
+        ok = parse_u64(value, &u64) && u64 >= u->lo && u64 <= u->hi;
+        if (ok)
+            *u->out = static_cast<std::uint32_t>(u64);
     } else if (const auto *d = std::get_if<CliFlag::Double>(&f.target)) {
-        ok = !blank && parse_double(value, *d);
+        ok = parse_f64(value, &f64) && f64 >= d->lo && f64 <= d->hi &&
+             !(d->lo_open && f64 <= d->lo);
+        if (ok)
+            *d->out = f64;
     } else {
         const auto &c = std::get<CliFlag::Choice>(f.target);
         ok = false;

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "src/common/log.hh"
-#include "src/telemetry/export.hh"
+#include "src/common/json.hh"
 
 namespace pmill {
 
@@ -11,13 +11,11 @@ void
 DecisionLog::write_jsonl(std::ostream &os) const
 {
     for (const Decision &d : decisions) {
-        os << "{\"type\":\"decision\",\"t_us\":" << json_number(d.t_us)
-           << ",\"knob\":\"" << json_escape(d.knob) << "\""
-           << ",\"core\":" << d.core << ",\"queue\":" << d.queue
-           << ",\"from\":" << json_number(d.from)
-           << ",\"to\":" << json_number(d.to)
-           << ",\"clamped\":" << (d.clamped ? "true" : "false")
-           << ",\"reason\":\"" << json_escape(d.reason) << "\"}\n";
+        os << JsonRecord("decision")
+                  .num("t_us", d.t_us).str("knob", d.knob)
+                  .integer("core", d.core).integer("queue", d.queue)
+                  .num("from", d.from).num("to", d.to)
+                  .boolean("clamped", d.clamped).str("reason", d.reason);
     }
 }
 

@@ -22,7 +22,7 @@ IdsCheck::configure(const std::vector<std::string> &args, std::string *err)
     for (const auto &[kw, val] : parse_keywords(args)) {
         if (kw == "CONNTRACK" || kw.empty()) {
             std::uint64_t v = 0;
-            if (!parse_uint(val, &v) || v == 0) {
+            if (!parse_u64(val, &v) || v == 0) {
                 if (err)
                     *err = "IdsCheck: bad CONNTRACK '" + val + "'";
                 return false;
@@ -30,7 +30,7 @@ IdsCheck::configure(const std::vector<std::string> &args, std::string *err)
             conntrack_capacity_ = static_cast<std::uint32_t>(v);
         } else if (kw == "IDLE_TIMEOUT_MS") {
             double t = 0;
-            if (!parse_double(val, &t) || t <= 0) {
+            if (!parse_nonneg_f64(val, &t) || t <= 0) {
                 if (err)
                     *err = "IdsCheck: bad IDLE_TIMEOUT_MS '" + val + "'";
                 return false;
@@ -228,7 +228,7 @@ VlanEncap::configure(const std::vector<std::string> &args, std::string *err)
     for (const auto &[kw, val] : parse_keywords(args)) {
         std::uint64_t v = 0;
         if ((kw == "VLAN_ID" || kw == "VLAN_TCI" || kw.empty()) &&
-            parse_uint(val, &v) && v < 65536) {
+            parse_u64(val, &v) && v < 65536) {
             tci_ = static_cast<std::uint16_t>(v);
         } else {
             if (err)
@@ -293,7 +293,7 @@ Napt::configure(const std::vector<std::string> &args, std::string *err)
             }
         } else if (kw == "CAPACITY") {
             std::uint64_t v = 0;
-            if (!parse_uint(val, &v) || v == 0) {
+            if (!parse_u64(val, &v) || v == 0) {
                 if (err)
                     *err = "Napt: bad CAPACITY";
                 return false;
@@ -301,7 +301,7 @@ Napt::configure(const std::vector<std::string> &args, std::string *err)
             capacity_ = static_cast<std::uint32_t>(v);
         } else if (kw == "IDLE_TIMEOUT_MS") {
             double t = 0;
-            if (!parse_double(val, &t)) {
+            if (!parse_nonneg_f64(val, &t)) {
                 if (err)
                     *err = "Napt: bad IDLE_TIMEOUT_MS '" + val + "'";
                 return false;
@@ -471,7 +471,7 @@ WorkPackage::configure(const std::vector<std::string> &args,
 {
     for (const auto &[kw, val] : parse_keywords(args)) {
         std::uint64_t v = 0;
-        if (!parse_uint(val, &v)) {
+        if (!parse_u64(val, &v)) {
             if (err)
                 *err = "WorkPackage: bad value '" + val + "'";
             return false;

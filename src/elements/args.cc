@@ -6,28 +6,10 @@
 namespace pmill {
 
 bool
-parse_uint(const std::string &s, std::uint64_t *out)
+parse_nonneg_f64(const std::string &s, double *out)
 {
-    if (s.empty())
-        return false;
-    std::uint64_t v = 0;
-    for (char c : s) {
-        if (!std::isdigit(static_cast<unsigned char>(c)))
-            return false;
-        v = v * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    *out = v;
-    return true;
-}
-
-bool
-parse_double(const std::string &s, double *out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (end != s.c_str() + s.size() || v < 0)
+    double v;
+    if (!parse_f64(s, &v) || v < 0)
         return false;
     *out = v;
     return true;
@@ -42,7 +24,7 @@ parse_ipv4(const std::string &s, Ipv4Addr *out)
     for (std::size_t i = 0; i <= s.size(); ++i) {
         if (i == s.size() || s[i] == '.') {
             std::uint64_t v;
-            if (pi >= 4 || !parse_uint(cur, &v) || v > 255)
+            if (pi >= 4 || !parse_u64(cur, &v) || v > 255)
                 return false;
             parts[pi++] = static_cast<std::uint32_t>(v);
             cur.clear();
@@ -96,11 +78,11 @@ parse_route(const std::string &s, Route *out)
     if (!parse_ipv4(s.substr(0, slash), &r.prefix))
         return false;
     std::uint64_t len, port;
-    if (!parse_uint(s.substr(slash + 1, space - slash - 1), &len) ||
+    if (!parse_u64(s.substr(slash + 1, space - slash - 1), &len) ||
         len > 32)
         return false;
     const std::size_t pb = s.find_first_not_of(" \t", space);
-    if (pb == std::string::npos || !parse_uint(s.substr(pb), &port) ||
+    if (pb == std::string::npos || !parse_u64(s.substr(pb), &port) ||
         port > 0x7FFF)
         return false;
     r.prefix_len = static_cast<std::uint8_t>(len);

@@ -22,7 +22,7 @@ FromDPDKDevice::configure(const std::vector<std::string> &args,
 {
     for (const auto &[kw, val] : parse_keywords(args)) {
         std::uint64_t v = 0;
-        if (!parse_uint(val, &v)) {
+        if (!parse_u64(val, &v)) {
             if (err)
                 *err = "FromDPDKDevice: bad value '" + val + "'";
             return false;
@@ -52,7 +52,7 @@ ToDPDKDevice::configure(const std::vector<std::string> &args,
 {
     for (const auto &[kw, val] : parse_keywords(args)) {
         std::uint64_t v = 0;
-        if (!parse_uint(val, &v)) {
+        if (!parse_u64(val, &v)) {
             if (err)
                 *err = "ToDPDKDevice: bad value '" + val + "'";
             return false;

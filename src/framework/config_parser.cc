@@ -1,7 +1,9 @@
 #include "src/framework/config_parser.hh"
 
 #include <cctype>
+#include <climits>
 
+#include "src/common/json.hh"
 #include "src/common/log.hh"
 
 namespace pmill {
@@ -170,16 +172,15 @@ class Scanner {
         if (!consume('['))
             return -1;
         skip_space();
-        int v = 0;
-        bool any = false;
+        const std::size_t start = pos_;
         while (pos_ < text_.size() &&
-               std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-            v = v * 10 + (text_[pos_++] - '0');
-            any = true;
-        }
-        if (!any || !consume(']'))
+               std::isdigit(static_cast<unsigned char>(text_[pos_])))
+            ++pos_;
+        std::uint64_t v = 0;
+        if (!parse_u64(text_.substr(start, pos_ - start), &v) ||
+            v > static_cast<std::uint64_t>(INT_MAX) || !consume(']'))
             return -2;  // malformed
-        return v;
+        return static_cast<int>(v);
     }
 
     int line() const { return line_; }

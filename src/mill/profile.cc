@@ -1,19 +1,15 @@
 #include "src/mill/profile.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <numeric>
 #include <sstream>
 
+#include "src/common/json.hh"
 #include "src/common/log.hh"
 #include "src/common/table_printer.hh"
 #include "src/runtime/engine.hh"
-#include "src/telemetry/bench_diff.hh"
-#include "src/telemetry/export.hh"
 #include "src/tracing/lifecycle.hh"
 
 namespace pmill {
@@ -25,109 +21,10 @@ std::string
 join_u64(const std::vector<std::uint64_t> &v)
 {
     std::string s;
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        if (i)
-            s += ',';
-        s += strprintf("%llu", static_cast<unsigned long long>(v[i]));
-    }
+    for (std::size_t i = 0; i < v.size(); ++i)
+        s += (i ? "," : "") + std::to_string(v[i]);
     return s;
 }
-
-/// Strict whole-token parses: a corrupted or hand-edited artifact
-/// must fail the load, not silently parse as 0.
-bool
-parse_u64_token(const std::string &tok, std::uint64_t *out)
-{
-    if (tok.empty() || !std::isdigit(static_cast<unsigned char>(tok[0])))
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    *out = std::strtoull(tok.c_str(), &end, 10);
-    return end == tok.c_str() + tok.size() && errno == 0;
-}
-
-bool
-parse_double_token(const std::string &tok, double *out)
-{
-    if (tok.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    *out = std::strtod(tok.c_str(), &end);
-    return end == tok.c_str() + tok.size() && errno == 0;
-}
-
-bool
-split_u64(const std::string &s, std::vector<std::uint64_t> *out)
-{
-    out->clear();
-    if (s.empty())
-        return true;
-    std::size_t pos = 0;
-    while (pos <= s.size()) {
-        const std::size_t comma = s.find(',', pos);
-        const std::string tok =
-            s.substr(pos, comma == std::string::npos ? std::string::npos
-                                                     : comma - pos);
-        std::uint64_t v = 0;
-        if (!parse_u64_token(tok, &v))
-            return false;
-        out->push_back(v);
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return true;
-}
-
-/**
- * Field accessors over one parsed JSON-Lines object. A missing key
- * reads as the zero value (older artifacts may lack newer fields);
- * a present-but-malformed value records the key in `bad` so the
- * caller can fail the whole parse.
- */
-struct Fields {
-    const std::map<std::string, std::string> &obj;
-    std::string bad;  ///< first key with a malformed value; "" = ok
-
-    std::string
-    s(const char *key) const
-    {
-        auto it = obj.find(key);
-        return it == obj.end() ? std::string() : it->second;
-    }
-
-    double
-    d(const char *key)
-    {
-        auto it = obj.find(key);
-        double v = 0.0;
-        if (it != obj.end() && !parse_double_token(it->second, &v) &&
-            bad.empty())
-            bad = key;
-        return v;
-    }
-
-    std::uint64_t
-    u(const char *key)
-    {
-        auto it = obj.find(key);
-        std::uint64_t v = 0;
-        if (it != obj.end() && !parse_u64_token(it->second, &v) &&
-            bad.empty())
-            bad = key;
-        return v;
-    }
-
-    std::vector<std::uint64_t>
-    u64s(const char *key)
-    {
-        std::vector<std::uint64_t> v;
-        if (!split_u64(s(key), &v) && bad.empty())
-            bad = key;
-        return v;
-    }
-};
 
 /// Smallest power of two >= v (v >= 1).
 std::uint32_t
@@ -172,30 +69,26 @@ Profile::find(const std::string &name) const
 std::string
 Profile::to_json() const
 {
-    std::ostringstream os;
-    os << "{\"type\":\"profile_meta\""
-       << ",\"freq_ghz\":" << json_number(freq_ghz)
-       << ",\"p99_latency_us\":" << json_number(p99_latency_us)
-       << ",\"throughput_gbps\":" << json_number(throughput_gbps)
-       << ",\"mpps\":" << json_number(mpps)
-       << ",\"stall_share\":" << json_number(stall_share)
-       << ",\"burst\":" << burst << ",\"model\":\"" << json_escape(model)
-       << "\",\"dominant_element\":\"" << json_escape(dominant_element)
-       << "\"}\n";
-    for (const ProfileElement &e : elements) {
-        os << "{\"type\":\"profile_element\",\"name\":\""
-           << json_escape(e.name) << "\",\"class\":\""
-           << json_escape(e.class_name) << "\",\"packets\":" << e.packets
-           << ",\"cycles\":" << json_number(e.cycles)
-           << ",\"mem_ns\":" << json_number(e.mem_ns)
-           << ",\"time_share\":" << json_number(e.time_share)
-           << ",\"stall_share\":" << json_number(e.stall_share)
-           << ",\"tail_excess_us\":" << json_number(e.tail_excess_us)
-           << ",\"rule_hits\":\"" << join_u64(e.rule_hits) << "\"}\n";
-    }
-    os << "{\"type\":\"profile_burst_hist\",\"hist\":\""
-       << join_u64(burst_hist) << "\"}\n";
-    return os.str();
+    std::string s = JsonRecord("profile_meta")
+                        .num("freq_ghz", freq_ghz)
+                        .num("p99_latency_us", p99_latency_us)
+                        .num("throughput_gbps", throughput_gbps)
+                        .num("mpps", mpps).num("stall_share", stall_share)
+                        .integer("burst", burst).str("model", model)
+                        .str("dominant_element", dominant_element)
+                        .line();
+    for (const ProfileElement &e : elements)
+        s += JsonRecord("profile_element")
+                 .str("name", e.name).str("class", e.class_name)
+                 .integer("packets", e.packets).num("cycles", e.cycles)
+                 .num("mem_ns", e.mem_ns).num("time_share", e.time_share)
+                 .num("stall_share", e.stall_share)
+                 .num("tail_excess_us", e.tail_excess_us)
+                 .str("rule_hits", join_u64(e.rule_hits))
+                 .line();
+    return s + JsonRecord("profile_burst_hist")
+                   .str("hist", join_u64(burst_hist))
+                   .line();
 }
 
 bool
@@ -204,65 +97,45 @@ Profile::parse(const std::string &text, Profile *out, std::string *err)
     *out = Profile{};
     bool have_meta = false;
     std::istringstream is(text);
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(is, line)) {
-        ++lineno;
-        if (line.empty())
-            continue;
-        std::map<std::string, std::string> obj;
-        if (!parse_json_object_line(line, &obj)) {
-            if (err)
-                *err = strprintf("profile line %zu: malformed JSON",
-                                 lineno);
-            return false;
-        }
-        Fields f{obj, {}};
-        const std::string type = f.s("type");
+    std::string why = read_json_lines(is, [&](JsonFields &f) {
+        const std::string type = f.str("type");
         if (type == "profile_meta") {
-            out->freq_ghz = f.d("freq_ghz");
-            out->p99_latency_us = f.d("p99_latency_us");
-            out->throughput_gbps = f.d("throughput_gbps");
-            out->mpps = f.d("mpps");
-            out->stall_share = f.d("stall_share");
-            out->burst = static_cast<std::uint32_t>(f.u("burst"));
-            out->model = f.s("model");
-            out->dominant_element = f.s("dominant_element");
+            out->freq_ghz = f.f64("freq_ghz");
+            out->p99_latency_us = f.f64("p99_latency_us");
+            out->throughput_gbps = f.f64("throughput_gbps");
+            out->mpps = f.f64("mpps");
+            out->stall_share = f.f64("stall_share");
+            const std::uint64_t burst = f.u64("burst");
+            if (burst > UINT32_MAX)
+                return std::string("burst is out of range");
+            out->burst = static_cast<std::uint32_t>(burst);
+            out->model = f.str("model");
+            out->dominant_element = f.str("dominant_element");
             have_meta = true;
         } else if (type == "profile_element") {
             ProfileElement e;
-            e.name = f.s("name");
-            e.class_name = f.s("class");
-            e.packets = f.u("packets");
-            e.cycles = f.d("cycles");
-            e.mem_ns = f.d("mem_ns");
-            e.time_share = f.d("time_share");
-            e.stall_share = f.d("stall_share");
-            e.tail_excess_us = f.d("tail_excess_us");
+            e.name = f.str("name");
+            e.class_name = f.str("class");
+            e.packets = f.u64("packets");
+            e.cycles = f.f64("cycles");
+            e.mem_ns = f.f64("mem_ns");
+            e.time_share = f.f64("time_share");
+            e.stall_share = f.f64("stall_share");
+            e.tail_excess_us = f.f64("tail_excess_us");
             e.rule_hits = f.u64s("rule_hits");
             out->elements.push_back(std::move(e));
         } else if (type == "profile_burst_hist") {
             out->burst_hist = f.u64s("hist");
         } else {
-            if (err)
-                *err = strprintf("profile line %zu: unknown type '%s'",
-                                 lineno, type.c_str());
-            return false;
+            return "unknown type '" + type + "'";
         }
-        if (!f.bad.empty()) {
-            if (err)
-                *err = strprintf(
-                    "profile line %zu: malformed value for '%s'", lineno,
-                    f.bad.c_str());
-            return false;
-        }
-    }
-    if (!have_meta) {
-        if (err)
-            *err = "profile has no profile_meta line";
-        return false;
-    }
-    return true;
+        return std::string();
+    });
+    if (why.empty() && !have_meta)
+        why = "no profile_meta line";
+    if (!why.empty() && err)
+        *err = "profile " + why;
+    return why.empty();
 }
 
 bool

@@ -12,6 +12,7 @@
 #include "src/accounting/acct_report.hh"
 #include "src/accounting/cycle_account.hh"
 #include "src/common/histogram.hh"
+#include "src/common/json.hh"
 #include "src/common/log.hh"
 #include "src/common/random.hh"
 #include "src/common/table_printer.hh"

@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 
+#include "src/common/json.hh"
 #include "src/common/log.hh"
 #include "src/common/table_printer.hh"
-#include "src/telemetry/export.hh"
 
 namespace pmill {
 
@@ -108,121 +107,6 @@ classify_column(const std::string &column)
 }
 
 bool
-parse_json_object_line(const std::string &line,
-                       std::map<std::string, std::string> *out)
-{
-    out->clear();
-    std::size_t i = 0;
-    const std::size_t n = line.size();
-    auto skip_ws = [&] {
-        while (i < n && std::isspace(static_cast<unsigned char>(line[i])))
-            ++i;
-    };
-    auto parse_string = [&](std::string *s) -> bool {
-        if (i >= n || line[i] != '"')
-            return false;
-        ++i;
-        s->clear();
-        while (i < n && line[i] != '"') {
-            if (line[i] == '\\' && i + 1 < n) {
-                ++i;
-                switch (line[i]) {
-                  case 'n': *s += '\n'; break;
-                  case 't': *s += '\t'; break;
-                  case 'r': *s += '\r'; break;
-                  case 'u':
-                    // \uXXXX: artifacts only emit control chars this
-                    // way; decode the low byte.
-                    if (i + 4 < n) {
-                        *s += static_cast<char>(std::strtol(
-                            line.substr(i + 1, 4).c_str(), nullptr, 16));
-                        i += 4;
-                    }
-                    break;
-                  default: *s += line[i];
-                }
-            } else {
-                *s += line[i];
-            }
-            ++i;
-        }
-        if (i >= n)
-            return false;
-        ++i;  // closing quote
-        return true;
-    };
-
-    skip_ws();
-    if (i >= n || line[i] != '{')
-        return false;
-    ++i;
-    skip_ws();
-    if (i < n && line[i] == '}')
-        return true;
-    while (true) {
-        skip_ws();
-        std::string key;
-        if (!parse_string(&key))
-            return false;
-        skip_ws();
-        if (i >= n || line[i] != ':')
-            return false;
-        ++i;
-        skip_ws();
-        std::string val;
-        if (i < n && line[i] == '"') {
-            if (!parse_string(&val))
-                return false;
-        } else if (i < n && line[i] == '[') {
-            // Arrays only appear as the meta line's column list;
-            // capture the raw bracketed text.
-            const std::size_t start = i;
-            int depth = 0;
-            bool in_str = false;
-            for (; i < n; ++i) {
-                const char c = line[i];
-                if (in_str) {
-                    if (c == '\\')
-                        ++i;
-                    else if (c == '"')
-                        in_str = false;
-                } else if (c == '"') {
-                    in_str = true;
-                } else if (c == '[') {
-                    ++depth;
-                } else if (c == ']' && --depth == 0) {
-                    ++i;
-                    break;
-                }
-            }
-            if (depth != 0)
-                return false;
-            val = line.substr(start, i - start);
-        } else {
-            // Bare token: number / true / false / null.
-            const std::size_t start = i;
-            while (i < n && line[i] != ',' && line[i] != '}')
-                ++i;
-            val = line.substr(start, i - start);
-            while (!val.empty() &&
-                   std::isspace(static_cast<unsigned char>(val.back())))
-                val.pop_back();
-            if (val.empty())
-                return false;
-        }
-        (*out)[key] = val;
-        skip_ws();
-        if (i < n && line[i] == ',') {
-            ++i;
-            continue;
-        }
-        break;
-    }
-    skip_ws();
-    return i < n && line[i] == '}';
-}
-
-bool
 load_bench_table(const std::string &path, BenchTable *out, std::string *err)
 {
     std::ifstream in(path);
@@ -232,47 +116,22 @@ load_bench_table(const std::string &path, BenchTable *out, std::string *err)
         return false;
     }
     *out = BenchTable{};
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        std::map<std::string, std::string> obj;
-        if (!parse_json_object_line(line, &obj)) {
-            if (err)
-                *err = path + ": malformed line: " + line;
-            return false;
+    const std::string why = read_json_lines(in, [out](JsonFields &f) {
+        const std::string type = f.str("type");
+        if (type == "meta") {
+            out->bench = f.str("bench");
+            out->title = f.str("title");
+            out->columns = f.strs("columns");
+        } else if (type == "row") {
+            out->rows.push_back(f.obj());
+            out->rows.back().erase("type");
         }
-        const auto type = obj.find("type");
-        if (type == obj.end())
-            continue;
-        if (type->second == "meta") {
-            out->bench = obj.count("bench") ? obj["bench"] : "";
-            out->title = obj.count("title") ? obj["title"] : "";
-            // Columns arrive as the raw `["a","b"]` text.
-            const std::string cols =
-                obj.count("columns") ? obj["columns"] : "[]";
-            std::string cur;
-            bool in_str = false;
-            for (std::size_t i = 0; i < cols.size(); ++i) {
-                const char c = cols[i];
-                if (in_str) {
-                    if (c == '\\' && i + 1 < cols.size())
-                        cur += cols[++i];
-                    else if (c == '"') {
-                        out->columns.push_back(cur);
-                        cur.clear();
-                        in_str = false;
-                    } else {
-                        cur += c;
-                    }
-                } else if (c == '"') {
-                    in_str = true;
-                }
-            }
-        } else if (type->second == "row") {
-            obj.erase("type");
-            out->rows.push_back(std::move(obj));
-        }
+        return std::string();
+    });
+    if (!why.empty()) {
+        if (err)
+            *err = path + ": " + why;
+        return false;
     }
     if (out->bench.empty() && err)
         *err = path + ": no meta line";
@@ -350,15 +209,13 @@ diff_bench_dirs(const std::string &base_dir, const std::string &cur_dir,
                 const auto cv = cur.rows[r].find(col);
                 if (bv == base.rows[r].end() || cv == cur.rows[r].end())
                     continue;
-                if (!json_is_numeric(bv->second) ||
-                    !json_is_numeric(cv->second))
-                    continue;
                 BenchDiffResult::Delta d;
+                if (!parse_f64(bv->second, &d.base) ||
+                    !parse_f64(cv->second, &d.cur))
+                    continue;
                 d.bench = name;
                 d.column = col;
                 d.row = r;
-                d.base = std::atof(bv->second.c_str());
-                d.cur = std::atof(cv->second.c_str());
                 d.cls = cls;
                 const double denom = std::max(std::fabs(d.base), 1e-12);
                 d.pct = (d.cur - d.base) / denom * 100.0;

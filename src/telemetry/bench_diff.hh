@@ -39,14 +39,6 @@ enum class ColumnClass {
 /** Classify @p column by name tokens ("Thr(Gbps)" -> higher-better). */
 ColumnClass classify_column(const std::string &column);
 
-/**
- * Parse one flat JSON object line (string/number values, no nesting)
- * into @p out as raw value strings (string values unescaped).
- * @return false on malformed input.
- */
-bool parse_json_object_line(const std::string &line,
-                            std::map<std::string, std::string> *out);
-
 /** One bench artifact: the meta line + its row objects. */
 struct BenchTable {
     std::string bench;    ///< artifact basename

@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include "src/common/json.hh"
 #include "src/common/log.hh"
 #include "src/common/table_printer.hh"
 #include "src/telemetry/export.hh"
@@ -121,18 +122,14 @@ BenchReport::write_artifacts() const
     }
     base += "/" + name_;
 
-    std::ostringstream json;
-    json << "{\"type\":\"meta\",\"bench\":\"" << json_escape(name_)
-         << "\",\"title\":\"" << json_escape(title_) << "\",\"columns\":[";
-    for (std::size_t i = 0; i < header_.size(); ++i)
-        json << (i ? "," : "") << '"' << json_escape(header_[i]) << '"';
-    json << "]}\n";
+    std::string json = JsonRecord("meta")
+                           .str("bench", name_).str("title", title_)
+                           .strs("columns", header_).line();
     for (const auto &r : rows_) {
-        json << "{\"type\":\"row\"";
+        JsonRecord rec("row");
         for (std::size_t i = 0; i < r.size() && i < header_.size(); ++i)
-            json << ",\"" << json_escape(header_[i])
-                 << "\":" << json_cell(r[i]);
-        json << "}\n";
+            rec.cell(header_[i], r[i]);
+        json += rec.line();
     }
 
     std::ostringstream csv;
@@ -140,7 +137,7 @@ BenchReport::write_artifacts() const
     for (const auto &r : rows_)
         write_csv_record(csv, r);
 
-    if (!write_file_atomic(base + ".json", json.str()) ||
+    if (!write_file_atomic(base + ".json", json) ||
         !write_file_atomic(base + ".csv", csv.str())) {
         warn("bench artifacts: cannot write %s.{json,csv}", base.c_str());
         return;

@@ -5,9 +5,9 @@
 #include <ostream>
 #include <unordered_map>
 
+#include "src/common/json.hh"
 #include "src/common/log.hh"
 #include "src/common/table_printer.hh"
-#include "src/telemetry/export.hh"
 
 namespace pmill {
 
@@ -158,29 +158,6 @@ attribute_tail(const Tracer &tracer, double threshold_us)
     return att;
 }
 
-std::vector<SpanCost>
-aggregate_span_costs(const Tracer &tracer)
-{
-    std::map<std::uint16_t, SpanCost> by_span;
-    const std::size_t n = tracer.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        const TraceRecord &r = tracer.at(i);
-        if (r.kind != TraceEventKind::kPacketElement)
-            continue;
-        SpanCost &c = by_span[r.span];
-        c.packets += 1;
-        c.cycles += r.cycles;
-        c.dur_ns += r.dur_ns;
-    }
-    std::vector<SpanCost> out;
-    out.reserve(by_span.size());
-    for (auto &[span, c] : by_span) {
-        c.span = tracer.span_name(span);
-        out.push_back(std::move(c));
-    }
-    return out;
-}
-
 std::vector<std::uint64_t>
 burst_occupancy_histogram(const Tracer &tracer, std::uint32_t max_burst)
 {
@@ -228,20 +205,17 @@ TailAttribution::to_string() const
 void
 TailAttribution::write_jsonl(std::ostream &os) const
 {
-    os << "{\"type\":\"tail_attribution\",\"threshold_us\":"
-       << json_number(threshold_us)
-       << ",\"num_complete\":" << num_complete
-       << ",\"num_tail\":" << num_tail << ",\"dominant_stage\":\""
-       << json_escape(dominant_stage) << "\",\"dominant_element\":\""
-       << json_escape(dominant_element) << "\"}\n";
-    for (const Row &r : rows) {
-        os << "{\"type\":\"tail_stage\",\"stage\":\""
-           << json_escape(r.stage)
-           << "\",\"mean_us_all\":" << json_number(r.mean_us_all)
-           << ",\"mean_us_tail\":" << json_number(r.mean_us_tail)
-           << ",\"excess_us\":" << json_number(r.excess_us)
-           << ",\"share_pct\":" << json_number(r.share_pct) << "}\n";
-    }
+    os << JsonRecord("tail_attribution")
+              .num("threshold_us", threshold_us)
+              .integer("num_complete", num_complete)
+              .integer("num_tail", num_tail)
+              .str("dominant_stage", dominant_stage)
+              .str("dominant_element", dominant_element);
+    for (const Row &r : rows)
+        os << JsonRecord("tail_stage")
+                  .str("stage", r.stage).num("mean_us_all", r.mean_us_all)
+                  .num("mean_us_tail", r.mean_us_tail)
+                  .num("excess_us", r.excess_us).num("share_pct", r.share_pct);
 }
 
 } // namespace pmill

@@ -5,8 +5,8 @@
 #include <vector>
 
 #include "src/accounting/cycle_account.hh"
+#include "src/common/json.hh"
 #include "src/common/log.hh"
-#include "src/telemetry/export.hh"
 #include "src/telemetry/sampler.hh"
 
 namespace pmill {
@@ -235,16 +235,14 @@ export_trace_jsonl(const Tracer &tracer, std::ostream &os)
     const std::size_t n = tracer.size();
     for (std::size_t i = 0; i < n; ++i) {
         const TraceRecord &r = tracer.at(i);
-        os << "{\"kind\":\"" << trace_event_name(r.kind)
-           << "\",\"t_ns\":" << json_number(r.t_ns)
-           << ",\"core\":" << static_cast<unsigned>(r.core)
-           << ",\"batch\":" << r.batch_id << ",\"packet\":" << r.packet_id
-           << ",\"span\":\"" << json_escape(tracer.span_name(r.span))
-           << "\",\"arg\":" << r.arg;
+        JsonRecord rec;
+        rec.str("kind", trace_event_name(r.kind)).num("t_ns", r.t_ns)
+            .integer("core", r.core).integer("batch", r.batch_id)
+            .integer("packet", r.packet_id)
+            .str("span", tracer.span_name(r.span)).integer("arg", r.arg);
         if (r.cycles != 0 || r.dur_ns != 0)
-            os << ",\"cycles\":" << json_number(r.cycles)
-               << ",\"dur_ns\":" << json_number(r.dur_ns);
-        os << "}\n";
+            rec.num("cycles", r.cycles).num("dur_ns", r.dur_ns);
+        os << rec;
     }
 }
 

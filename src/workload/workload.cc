@@ -125,43 +125,43 @@ WorkloadSpec::parse(const std::string &text, std::string *error)
                 return fail("unknown workload kind '" + val + "'");
             apply_kind_defaults(this);
         } else if (key == "flows") {
-            if (!parse_uint(val, &u) || u < 1 || u > kMaxFlows)
+            if (!parse_u64(val, &u) || u < 1 || u > kMaxFlows)
                 return fail("flows must be in [1, 2^26]");
             flows = u;
         } else if (key == "skew") {
-            if (!parse_double(val, &d) || d > 4.0)
+            if (!parse_nonneg_f64(val, &d) || d > 4.0)
                 return fail("skew must be in [0, 4]");
             skew = d;
         } else if (key == "pkts") {
-            if (!parse_uint(val, &u))
+            if (!parse_u64(val, &u))
                 return fail("bad pkts value '" + val + "'");
             flow_pkts = u;
         } else if (key == "len") {
-            if (!parse_uint(val, &u) ||
+            if (!parse_u64(val, &u) ||
                 (u != 0 && (u < kMinFrameLen || u > kMaxFrameLen)))
                 return fail("len must be 0 or in [60, 1514]");
             frame_len = static_cast<std::uint32_t>(u);
         } else if (key == "udp") {
-            if (!parse_double(val, &d) || d > 1.0)
+            if (!parse_nonneg_f64(val, &d) || d > 1.0)
                 return fail("udp must be in [0, 1]");
             udp_frac = d;
         } else if (key == "burst") {
-            if (!parse_double(val, &d) || d < 1.0 || d > 1000.0)
+            if (!parse_nonneg_f64(val, &d) || d < 1.0 || d > 1000.0)
                 return fail("burst must be in [1, 1000]");
             burst = d;
         } else if (key == "phase") {
-            if (!parse_double(val, &d) || d < 2.0)
+            if (!parse_nonneg_f64(val, &d) || d < 2.0)
                 return fail("phase must be >= 2 packets");
             phase_pkts = d;
         } else if (key == "seed") {
-            if (!parse_uint(val, &u))
+            if (!parse_u64(val, &u))
                 return fail("bad seed value '" + val + "'");
             seed = u;
         } else if (key == "victim") {
             if (!parse_ipv4(val, &victim))
                 return fail("bad victim address '" + val + "'");
         } else if (key == "vport") {
-            if (!parse_uint(val, &u) || u < 1 || u > 65535)
+            if (!parse_u64(val, &u) || u < 1 || u > 65535)
                 return fail("vport must be in [1, 65535]");
             victim_port = static_cast<std::uint16_t>(u);
         } else {

@@ -1,12 +1,17 @@
 /**
  * @file
  * Unit tests for src/common: histogram percentiles, ring behaviour,
- * RNG determinism, units formatting, string formatting.
+ * RNG determinism, units formatting, string formatting, and the
+ * number grammar and JSON record codec.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <sstream>
+
 #include "src/common/histogram.hh"
+#include "src/common/json.hh"
 #include "src/common/log.hh"
 #include "src/common/random.hh"
 #include "src/common/ring.hh"
@@ -16,6 +21,158 @@
 
 namespace pmill {
 namespace {
+
+TEST(JsonGrammar, U64IsDigitsThatFit)
+{
+    std::uint64_t v = 0;
+    EXPECT_TRUE(parse_u64("0", &v));
+    EXPECT_EQ(v, 0u);
+    EXPECT_TRUE(parse_u64("+8", &v));
+    EXPECT_EQ(v, 8u);
+    EXPECT_TRUE(parse_u64("18446744073709551615", &v));
+    EXPECT_EQ(v, 18446744073709551615ull);
+    EXPECT_TRUE(parse_u64("007", &v));
+    EXPECT_EQ(v, 7u);
+    for (const char *bad :
+         {"", "+", "++1", "-1", "-0", " 1", "1 ", "0x10", "1e3", "1.0",
+          "nan", "18446744073709551616", "99999999999999999999999"}) {
+        EXPECT_FALSE(parse_u64(bad, &v)) << "'" << bad << "'";
+        EXPECT_EQ(v, 7u) << "a failed parse must not write";
+    }
+}
+
+TEST(JsonGrammar, F64IsAFiniteDecimalToken)
+{
+    double v = 0;
+    const std::pair<const char *, double> good[] = {
+        {"1.5", 1.5}, {"-4e5", -4e5}, {"+8", 8},  {"1e-1", 0.1},
+        {".5", 0.5},  {"5.", 5},      {"0", 0},   {"1E3", 1000}};
+    for (const auto &[tok, want] : good) {
+        EXPECT_TRUE(parse_f64(tok, &v)) << tok;
+        EXPECT_EQ(v, want) << tok;
+    }
+    v = 7;
+    for (const char *bad :
+         {"", "nan", "NaN", "inf", "-inf", "infinity", "0x10", "0x1p3",
+          "1e999", "-1e999", " 1", "1 ", "5x", "1,5", "--1", "e", ".",
+          "1.5.2"}) {
+        EXPECT_FALSE(parse_f64(bad, &v)) << "'" << bad << "'";
+        EXPECT_EQ(v, 7.0) << "a failed parse must not write";
+    }
+}
+
+TEST(JsonRecordWriter, WritesFieldsInCallOrder)
+{
+    EXPECT_EQ(JsonRecord().line(), "{}\n");
+    JsonRecord rec;
+    rec.str("type", "t")
+        .num("x", 1.5)
+        .num("inf", 1.0 / 0.0)
+        .integer("neg", -1)
+        .integer("big", 18446744073709551615ull)
+        .boolean("b", false)
+        .cell("c1", "12")
+        .cell("c2", "nan")
+        .strs("cols", {"a\"", "b"})
+        .str("k\"ey", "v\n");
+    EXPECT_EQ(rec.line(),
+              "{\"type\":\"t\",\"x\":1.5,\"inf\":0,\"neg\":-1,"
+              "\"big\":18446744073709551615,\"b\":false,\"c1\":12,"
+              "\"c2\":\"nan\",\"cols\":[\"a\\\"\",\"b\"],"
+              "\"k\\\"ey\":\"v\\n\"}\n");
+    std::ostringstream os;
+    os << rec;
+    EXPECT_EQ(os.str(), rec.line());
+}
+
+TEST(JsonReader, ParsesFlatObjectsStrictly)
+{
+    std::map<std::string, std::string> o;
+    std::string err;
+    ASSERT_TRUE(parse_json_object_line(
+        " {\"a\":\"x\\u0041\\/\\b\",\"n\":-1.5e3,\"t\":true,\"z\":null,"
+        "\"arr\":[\"a\", 1],\"e\":[]}\t",
+        &o, &err))
+        << err;
+    EXPECT_EQ(o.at("a"), "xA/\b");
+    EXPECT_EQ(o.at("n"), "-1.5e3");
+    EXPECT_EQ(o.at("t"), "true");
+    EXPECT_EQ(o.at("z"), "null");
+    EXPECT_EQ(o.at("arr"), "[\"a\", 1]");
+    EXPECT_EQ(o.at("e"), "[]");
+    ASSERT_TRUE(parse_json_object_line("{\"u\":\"\\u00e9\"}", &o));
+    EXPECT_EQ(o.at("u"), "\xc3\xa9");
+
+    // Bad bare values name their key.
+    for (const char *v : {"12abc", "nan", "inf", "0x10", "True", "1 2",
+                          "\"\\u12\"", "\"\\u12G4\"", "\"\\q\"",
+                          "[1,[2]]", "{\"b\":1}", "[1,]", "\"a\tb\""}) {
+        const std::string line = std::string("{\"k\":") + v + "}";
+        err.clear();
+        EXPECT_FALSE(parse_json_object_line(line, &o, &err)) << line;
+        EXPECT_FALSE(err.empty()) << line;
+    }
+    err.clear();
+    EXPECT_FALSE(parse_json_object_line("{\"total\":12abc}", &o, &err));
+    EXPECT_EQ(err, "malformed value for 'total'");
+    // Text after the closing brace.
+    for (const char *line :
+         {"{\"a\":1}x", "{\"a\":1}}", "{\"a\":1} {}", "{}\"\"", "{\"a\":1,}",
+          "{,}", "{\"a\" 1}", "{a:1}", "\"x\""}) {
+        EXPECT_FALSE(parse_json_object_line(line, &o)) << line;
+    }
+}
+
+TEST(JsonReader, RoundTripsTheWriter)
+{
+    std::string every;
+    for (int c = 1; c < 128; ++c)
+        every += static_cast<char>(c);
+    every += "\xc3\xa9";
+    every.push_back('\0');
+    std::map<std::string, std::string> o;
+    ASSERT_TRUE(parse_json_object_line(
+        JsonRecord().str(every, every).num("n", -0.125).line(), &o));
+    EXPECT_EQ(o.at(every), every);
+    EXPECT_EQ(o.at("n"), "-0.125");
+}
+
+TEST(JsonFields, TypedGettersFlagTheFirstBadKey)
+{
+    std::map<std::string, std::string> o;
+    ASSERT_TRUE(parse_json_object_line(
+        "{\"s\":\"x\",\"u\":18446744073709551615,\"f\":2.5,"
+        "\"l\":\"1,2,3\",\"a\":[\"p\",\"q\\\"r\"],\"bu\":-1,\"bf\":\"x\","
+        "\"bl\":\"1,,2\",\"ba\":[1]}",
+        &o));
+    JsonFields f(o);
+    EXPECT_EQ(f.str("s"), "x");
+    EXPECT_EQ(f.u64("u"), 18446744073709551615ull);
+    EXPECT_EQ(f.f64("f"), 2.5);
+    EXPECT_EQ(f.u64s("l"), (std::vector<std::uint64_t>{1, 2, 3}));
+    EXPECT_EQ(f.strs("a"), (std::vector<std::string>{"p", "q\"r"}));
+    // Missing keys read as zero and are not errors.
+    EXPECT_EQ(f.str("nope"), "");
+    EXPECT_EQ(f.u64("nope"), 0u);
+    EXPECT_EQ(f.f64("nope"), 0.0);
+    EXPECT_TRUE(f.u64s("nope").empty());
+    EXPECT_TRUE(f.strs("nope").empty());
+    EXPECT_EQ(f.bad(), "");
+
+    EXPECT_EQ(f.u64("bu"), 0u);
+    EXPECT_EQ(f.bad(), "bu");
+    EXPECT_EQ(f.f64("bf"), 0.0);
+    EXPECT_TRUE(f.u64s("bl").empty());
+    EXPECT_TRUE(f.strs("ba").empty());
+    EXPECT_EQ(f.bad(), "bu") << "the first bad key is kept";
+
+    for (const char *key : {"bf", "bl", "ba", "s"}) {
+        JsonFields g(o);
+        (void)g.u64s(key);
+        (void)g.strs(key);
+        EXPECT_EQ(g.bad(), key);
+    }
+}
 
 TEST(Types, RoundUp)
 {

@@ -10,6 +10,7 @@
 
 #include <cstring>
 
+#include "src/elements/args.hh"
 #include "src/elements/elements.hh"
 #include "src/framework/exec_context.hh"
 #include "src/framework/metadata.hh"
@@ -91,6 +92,34 @@ class ElementHarness {
     MemHandle metas_;
     PacketBatch batch_;
 };
+
+TEST(ElemArgs, NumbersNeitherWrapNorGoNonFinite)
+{
+    // 2^64 + 1 and 2^64 + 8 used to wrap to 1 and 8.
+    Ipv4Addr ip;
+    EXPECT_FALSE(parse_ipv4("18446744073709551617.0.0.1", &ip));
+    EXPECT_FALSE(parse_ipv4("1.0.0.18446744073709551617", &ip));
+    EXPECT_TRUE(parse_ipv4("1.0.0.1", &ip));
+    Route r;
+    EXPECT_FALSE(parse_route("10.0.0.0/18446744073709551624 1", &r));
+    EXPECT_FALSE(parse_route("10.0.0.0/8 18446744073709551617", &r));
+    EXPECT_TRUE(parse_route("10.0.0.0/8 1", &r));
+
+    for (const char *bad : {"nan", "inf", "-inf", "0x10", "1e999"}) {
+        const std::string timeout = std::string("IDLE_TIMEOUT_MS ") + bad;
+        std::string err;
+        IdsCheck ids;
+        EXPECT_FALSE(ids.configure({timeout}, &err)) << bad;
+        Napt napt;
+        EXPECT_FALSE(napt.configure({"SRCIP 10.0.0.1", timeout}, &err))
+            << bad;
+    }
+    std::string err;
+    Napt napt;
+    EXPECT_TRUE(napt.configure({"SRCIP 10.0.0.1", "IDLE_TIMEOUT_MS 2.5"},
+                               &err))
+        << err;
+}
 
 TEST(ElemEtherMirror, SwapsAddresses)
 {

@@ -1,18 +1,30 @@
 /**
  * @file
  * Robustness fuzzing: the configuration parser, frame parser, argv
- * parser and pipeline builder must never crash on malformed input —
- * they must either succeed or fail cleanly with an error.
+ * parser, workload specs, JSONL artifact loaders and pipeline builder
+ * must never crash on malformed input — they must either succeed or
+ * fail cleanly with an error.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <sstream>
+
+#include "src/accounting/acct_report.hh"
 #include "src/common/cli.hh"
+#include "src/common/json.hh"
 #include "src/common/random.hh"
 #include "src/framework/config_parser.hh"
 #include "src/framework/pipeline.hh"
+#include "src/mill/profile.hh"
 #include "src/net/packet_builder.hh"
 #include "src/runtime/experiments.hh"
+#include "src/telemetry/bench_diff.hh"
+#include "src/workload/workload.hh"
 
 namespace pmill {
 namespace {
@@ -209,6 +221,187 @@ TEST(FuzzCli, RandomArgvFailsCleanly)
     EXPECT_GT(helps, 0);
     EXPECT_GT(errors, 0);
     EXPECT_GT(oks, 0);
+}
+
+TEST(FuzzWorkloadSpec, RandomSpecsFailCleanly)
+{
+    // Specs built from the number grammar's edge cases: every accepted
+    // spec holds finite, in-range fields; every rejected one says why.
+    const char *kinds[] = {"",          "uniform:",  "zipf:",  "churn:",
+                           "synflood:", "portscan:", "bogus:"};
+    const char *keys[] = {"kind",  "flows", "skew", "pkts",   "len",
+                          "udp",   "burst", "phase", "seed",  "victim",
+                          "vport", "bogus", ""};
+    const char *values[] = {
+        "0",     "1",      "2",   "+3",  "60",   "1514",  "1000",
+        "1001",  "4",      "4.5", "0.5", "1e-1", "1e3",   "-1",
+        "-0",    "nan",    "inf", "-inf", "0x10", "1e999", "1.2.3.4",
+        "18446744073709551615", "18446744073709551617", "67108864",
+        "67108865", "zipf", "synflood", "", " 1", "1x", "."};
+    Xorshift64 rng(0x5BEC);
+    int accepted = 0, rejected = 0;
+    for (int iter = 0; iter < 5000; ++iter) {
+        std::string text = kinds[rng.next_below(std::size(kinds))];
+        const std::size_t n = rng.next_below(4);
+        for (std::size_t i = 0; i < n; ++i) {
+            text += i ? "," : "";
+            text += keys[rng.next_below(std::size(keys))];
+            text += "=";
+            text += values[rng.next_below(std::size(values))];
+        }
+        WorkloadSpec spec;
+        std::string err;
+        if (!spec.parse(text, &err)) {
+            EXPECT_FALSE(err.empty()) << text;
+            ++rejected;
+            continue;
+        }
+        ++accepted;
+        EXPECT_GE(spec.flows, 1u) << text;
+        EXPECT_LE(spec.flows, 1ull << 26) << text;
+        EXPECT_TRUE(std::isfinite(spec.skew) && spec.skew >= 0 &&
+                    spec.skew <= 4)
+            << text;
+        EXPECT_TRUE(std::isfinite(spec.udp_frac) && spec.udp_frac >= 0 &&
+                    spec.udp_frac <= 1)
+            << text;
+        EXPECT_TRUE(std::isfinite(spec.burst) && spec.burst >= 1 &&
+                    spec.burst <= 1000)
+            << text;
+        EXPECT_TRUE(std::isfinite(spec.phase_pkts) && spec.phase_pkts >= 2)
+            << text;
+        EXPECT_TRUE(spec.frame_len == 0 || (spec.frame_len >= kMinFrameLen &&
+                                            spec.frame_len <= kMaxFrameLen))
+            << text;
+        EXPECT_GE(spec.victim_port, 1u) << text;
+    }
+    EXPECT_GT(accepted, 0);
+    EXPECT_GT(rejected, 0);
+}
+
+/** @p text with 1-8 random edits biased toward JSON syntax and numbers. */
+std::string
+mutate_jsonl(const std::string &text, Xorshift64 &rng)
+{
+    static const char *const pieces[] = {
+        "{", "}", "[", "]", ":", ",", "\"", "\\", "\\u", "\\u00", "\n",
+        " ", "0", "9", "-", "+", ".", "e", "e999", "nan", "inf", "0x1",
+        "true", "null", "99999999999999999999", "\xff"};
+    std::string m = text;
+    const int edits = 1 + static_cast<int>(rng.next_below(8));
+    for (int e = 0; e < edits && !m.empty(); ++e) {
+        const std::size_t pos = rng.next_below(m.size());
+        switch (rng.next_below(3)) {
+          case 0:
+            m[pos] = static_cast<char>(32 + rng.next_below(95));
+            break;
+          case 1:
+            m.erase(pos, 1 + rng.next_below(4));
+            break;
+          default:
+            m.insert(pos, pieces[rng.next_below(std::size(pieces))]);
+        }
+    }
+    return m;
+}
+
+TEST(FuzzJsonl, MutatedArtifactsFailCleanly)
+{
+    // Real emitter output, mutated: every loader either accepts it
+    // with finite values or fails with a message. Never a crash.
+    Profile prof;
+    prof.freq_ghz = 2.3;
+    prof.burst = 32;
+    prof.model = "X-Change";
+    prof.burst_hist = {0, 4, 2};
+    ProfileElement pe;
+    pe.name = "rt";
+    pe.class_name = "IPLookup";
+    pe.packets = 5;
+    pe.cycles = 7.5;
+    pe.rule_hits = {3, 0, 9};
+    prof.elements = {pe, pe};
+
+    AcctBucketRow row;
+    row.label = "framework";
+    row.comp[kAcctCompute] = 1.5;
+    row.total = 1.5;
+    AcctReport acct;
+    acct.aggregate.rows = {row, row};
+    acct.cores.resize(2);
+    acct.cores[1].rows = {row};
+    std::ostringstream acct_os;
+    acct_write_jsonl(acct, acct_os);
+
+    std::ostringstream bench_os;
+    bench_os << JsonRecord()
+                    .str("type", "meta")
+                    .str("bench", "b")
+                    .str("title", "T")
+                    .strs("columns", {"Thr(Gbps)", "label"});
+    bench_os << JsonRecord().str("type", "row").cell("Thr(Gbps)", "4.5").cell(
+        "label", "x");
+
+    const std::string bench_path = "fuzz_jsonl_bench.json";
+    Xorshift64 rng(0x750A);
+    int loads = 0, failures = 0;
+    for (int iter = 0; iter < 1500; ++iter) {
+        const std::string p = mutate_jsonl(prof.to_json(), rng);
+        Profile back;
+        std::string err;
+        if (Profile::parse(p, &back, &err)) {
+            ++loads;
+            EXPECT_TRUE(std::isfinite(back.freq_ghz) &&
+                        std::isfinite(back.stall_share))
+                << p;
+            for (const ProfileElement &e : back.elements)
+                EXPECT_TRUE(std::isfinite(e.cycles) &&
+                            std::isfinite(e.time_share))
+                    << p;
+            (void)PlanSearch::search(back, PipelineOpts::vanilla());
+        } else {
+            ++failures;
+            EXPECT_FALSE(err.empty()) << p;
+        }
+
+        std::istringstream a(mutate_jsonl(acct_os.str(), rng));
+        AcctReport rep;
+        err.clear();
+        if (acct_report_from_jsonl(a, &rep, &err)) {
+            ++loads;
+            EXPECT_TRUE(std::isfinite(rep.aggregate.total_cycles));
+            std::ostringstream rendered;
+            acct_render_report(rep, rendered);
+        } else {
+            ++failures;
+            EXPECT_FALSE(err.empty()) << a.str();
+        }
+
+        const std::string b = mutate_jsonl(bench_os.str(), rng);
+        std::ofstream(bench_path) << b;
+        BenchTable tab;
+        err.clear();
+        if (load_bench_table(bench_path, &tab, &err)) {
+            ++loads;
+        } else {
+            ++failures;
+            EXPECT_FALSE(err.empty()) << b;
+        }
+
+        // The reader alone, line by line.
+        std::istringstream lines(b + p + a.str());
+        for (std::string line; std::getline(lines, line);) {
+            std::map<std::string, std::string> obj;
+            err.clear();
+            if (!parse_json_object_line(line, &obj, &err)) {
+                EXPECT_FALSE(err.empty()) << line;
+            }
+        }
+    }
+    std::remove(bench_path.c_str());
+    // The mutations reach both outcomes.
+    EXPECT_GT(loads, 0);
+    EXPECT_GT(failures, 0);
 }
 
 } // namespace

@@ -151,6 +151,26 @@ TEST(WorkloadSpec, RejectsBadInput)
     EXPECT_FALSE(err.empty());
 }
 
+TEST(WorkloadSpec, RejectsNonFiniteAndOverflowingNumbers)
+{
+    for (const char *bad :
+         {"zipf:skew=nan", "uniform:udp=nan", "uniform:burst=nan",
+          "uniform:phase=inf", "zipf:flows=18446744073709551617",
+          "uniform:seed=99999999999999999999999", "zipf:skew=0x1",
+          "uniform:pkts=-1"}) {
+        WorkloadSpec spec;
+        std::string err;
+        EXPECT_FALSE(spec.parse(bad, &err)) << bad;
+        EXPECT_FALSE(err.empty()) << bad;
+    }
+    // The largest 64-bit seed still fits.
+    WorkloadSpec spec;
+    std::string err;
+    ASSERT_TRUE(spec.parse("uniform:seed=18446744073709551615", &err))
+        << err;
+    EXPECT_EQ(spec.seed, 18446744073709551615ull);
+}
+
 TEST(WorkloadSpec, LoadsFromFile)
 {
     const std::string path = ::testing::TempDir() + "/wl_test.workload";
