@@ -21,13 +21,13 @@ IdsCheck::configure(const std::vector<std::string> &args, std::string *err)
 {
     for (const auto &[kw, val] : parse_keywords(args)) {
         if (kw == "CONNTRACK" || kw.empty()) {
-            std::uint64_t v = 0;
-            if (!parse_u64(val, &v) || v == 0) {
+            std::uint32_t v = 0;
+            if (!parse_u32(val, &v) || v == 0) {
                 if (err)
                     *err = "IdsCheck: bad CONNTRACK '" + val + "'";
                 return false;
             }
-            conntrack_capacity_ = static_cast<std::uint32_t>(v);
+            conntrack_capacity_ = v;
         } else if (kw == "IDLE_TIMEOUT_MS") {
             double t = 0;
             if (!parse_nonneg_f64(val, &t) || t <= 0) {
@@ -292,13 +292,13 @@ Napt::configure(const std::vector<std::string> &args, std::string *err)
                 return false;
             }
         } else if (kw == "CAPACITY") {
-            std::uint64_t v = 0;
-            if (!parse_u64(val, &v) || v == 0) {
+            std::uint32_t v = 0;
+            if (!parse_u32(val, &v) || v == 0) {
                 if (err)
-                    *err = "Napt: bad CAPACITY";
+                    *err = "Napt: bad CAPACITY '" + val + "'";
                 return false;
             }
-            capacity_ = static_cast<std::uint32_t>(v);
+            capacity_ = v;
         } else if (kw == "IDLE_TIMEOUT_MS") {
             double t = 0;
             if (!parse_nonneg_f64(val, &t)) {
@@ -470,21 +470,18 @@ WorkPackage::configure(const std::vector<std::string> &args,
                        std::string *err)
 {
     for (const auto &[kw, val] : parse_keywords(args)) {
-        std::uint64_t v = 0;
-        if (!parse_u64(val, &v)) {
-            if (err)
-                *err = "WorkPackage: bad value '" + val + "'";
-            return false;
-        }
-        if (kw == "S")
-            s_mb_ = static_cast<std::uint32_t>(v);
-        else if (kw == "N")
-            n_accesses_ = static_cast<std::uint32_t>(v);
-        else if (kw == "W")
-            w_rounds_ = static_cast<std::uint32_t>(v);
-        else {
+        std::uint32_t *dst = kw == "S"   ? &s_mb_
+                             : kw == "N" ? &n_accesses_
+                             : kw == "W" ? &w_rounds_
+                                         : nullptr;
+        if (!dst) {
             if (err)
                 *err = "WorkPackage: expected S/N/W keywords";
+            return false;
+        }
+        if (!parse_u32(val, dst)) {
+            if (err)
+                *err = "WorkPackage: bad " + kw + " '" + val + "'";
             return false;
         }
     }

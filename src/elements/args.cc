@@ -6,6 +6,16 @@
 namespace pmill {
 
 bool
+parse_u32(const std::string &s, std::uint32_t *out)
+{
+    std::uint64_t v;
+    if (!parse_u64(s, &v) || v > UINT32_MAX)
+        return false;
+    *out = static_cast<std::uint32_t>(v);
+    return true;
+}
+
+bool
 parse_nonneg_f64(const std::string &s, double *out)
 {
     double v;

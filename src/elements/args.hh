@@ -16,6 +16,9 @@
 
 namespace pmill {
 
+/** parse_u64 that also fails above UINT32_MAX, leaving @p out alone. */
+bool parse_u32(const std::string &s, std::uint32_t *out);
+
 /** Parse a non-negative decimal number; false on garbage. */
 bool parse_nonneg_f64(const std::string &s, double *out);
 

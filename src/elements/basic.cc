@@ -21,27 +21,25 @@ FromDPDKDevice::configure(const std::vector<std::string> &args,
                           std::string *err)
 {
     for (const auto &[kw, val] : parse_keywords(args)) {
-        std::uint64_t v = 0;
-        if (!parse_u64(val, &v)) {
+        std::uint32_t *dst = kw == "PORT"       ? &port_
+                             : kw == "BURST"    ? &burst_
+                             : kw == "N_QUEUES" ? &n_queues_
+                                                : nullptr;
+        if (!dst) {
             if (err)
-                *err = "FromDPDKDevice: bad value '" + val + "'";
+                *err = "FromDPDKDevice: unknown keyword " + kw;
             return false;
         }
-        if (kw == "PORT") {
-            port_ = static_cast<std::uint32_t>(v);
-        } else if (kw == "BURST") {
-            if (v == 0 || v > kMaxBurst) {
-                if (err)
-                    *err = "FromDPDKDevice: BURST out of range";
-                return false;
-            }
-            burst_ = static_cast<std::uint32_t>(v);
-        } else if (kw == "N_QUEUES") {
-            n_queues_ = static_cast<std::uint32_t>(v);
-        } else if (err) {
-            *err = "FromDPDKDevice: unknown keyword " + kw;
+        if (!parse_u32(val, dst)) {
+            if (err)
+                *err = "FromDPDKDevice: bad " + kw + " '" + val + "'";
             return false;
         }
+    }
+    if (burst_ == 0 || burst_ > kMaxBurst) {
+        if (err)
+            *err = "FromDPDKDevice: BURST out of range";
+        return false;
     }
     return true;
 }
@@ -51,18 +49,17 @@ ToDPDKDevice::configure(const std::vector<std::string> &args,
                         std::string *err)
 {
     for (const auto &[kw, val] : parse_keywords(args)) {
-        std::uint64_t v = 0;
-        if (!parse_u64(val, &v)) {
+        std::uint32_t *dst = kw == "PORT"    ? &port_
+                             : kw == "BURST" ? &burst_
+                                             : nullptr;
+        if (!dst) {
             if (err)
-                *err = "ToDPDKDevice: bad value '" + val + "'";
+                *err = "ToDPDKDevice: unknown keyword " + kw;
             return false;
         }
-        if (kw == "PORT")
-            port_ = static_cast<std::uint32_t>(v);
-        else if (kw == "BURST")
-            burst_ = static_cast<std::uint32_t>(v);
-        else if (err) {
-            *err = "ToDPDKDevice: unknown keyword " + kw;
+        if (!parse_u32(val, dst)) {
+            if (err)
+                *err = "ToDPDKDevice: bad " + kw + " '" + val + "'";
             return false;
         }
     }
@@ -115,8 +112,9 @@ EtherRewrite::configure(const std::vector<std::string> &args,
             src_ = m;
         } else if (kw == "DST") {
             dst_ = m;
-        } else if (err) {
-            *err = "EtherRewrite: expected SRC/DST";
+        } else {
+            if (err)
+                *err = "EtherRewrite: expected SRC/DST";
             return false;
         }
     }
@@ -160,8 +158,9 @@ Classifier::configure(const std::vector<std::string> &args,
             patterns_.push_back(Pattern::kIp);
         } else if (a == "-") {
             patterns_.push_back(Pattern::kAny);
-        } else if (err) {
-            *err = "Classifier: unknown pattern '" + a + "'";
+        } else {
+            if (err)
+                *err = "Classifier: unknown pattern '" + a + "'";
             return false;
         }
     }
@@ -309,8 +308,9 @@ ARPResponder::configure(const std::vector<std::string> &args,
             ip_ = ip;
         } else if (parse_mac(a, &m)) {
             mac_ = m;
-        } else if (err) {
-            *err = "ARPResponder: bad argument '" + a + "'";
+        } else {
+            if (err)
+                *err = "ARPResponder: bad argument '" + a + "'";
             return false;
         }
     }

@@ -1,7 +1,6 @@
 #include "src/mem/sim_memory.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "src/common/log.hh"
 
@@ -31,25 +30,26 @@ SimMemory::SimMemory()
 }
 
 MemHandle
-SimMemory::alloc(std::uint64_t size, std::uint64_t align, Region r)
+SimMemory::reserve(std::uint64_t size, std::uint64_t align, Region r)
 {
     PMILL_ASSERT(size > 0, "zero-size allocation");
     PMILL_ASSERT(is_pow2(align), "alignment must be a power of two");
     Addr base = round_up(next_, align);
     next_ = base + size;
 
-    Alloc a;
-    a.base = base;
-    a.size = size;
-    a.host = std::make_unique<std::uint8_t[]>(size);
-    a.region = r;
-    a.socket = home_socket_;
-    std::memset(a.host.get(), 0, size);
-
-    MemHandle h{base, a.host.get(), size};
-    allocs_.push_back(std::move(a));
+    allocs_.push_back(Alloc{base, size, nullptr, r, home_socket_});
     region_bytes_[static_cast<std::size_t>(r)] += size;
     total_ += size;
+    return MemHandle{base, nullptr, size};
+}
+
+MemHandle
+SimMemory::alloc(std::uint64_t size, std::uint64_t align, Region r)
+{
+    MemHandle h = reserve(size, align, r);
+    // make_unique<T[]> value-initialises: the backing starts zeroed.
+    allocs_.back().host = std::make_unique<std::uint8_t[]>(size);
+    h.host = allocs_.back().host.get();
     return h;
 }
 
@@ -111,7 +111,7 @@ SimMemory::host_ptr(Addr a)
     if (it == allocs_.begin())
         return nullptr;
     --it;
-    if (a >= it->base + it->size)
+    if (a >= it->base + it->size || !it->host)
         return nullptr;
     return it->host.get() + (a - it->base);
 }

@@ -6,8 +6,10 @@
  * data buffers, metadata pools, NIC descriptor rings, element state,
  * lookup tables — is allocated from a SimMemory instance. Each
  * allocation receives a *simulated* address (fed to the cache
- * hierarchy model) and host backing storage (so the packet-processing
- * logic operates on real bytes).
+ * hierarchy model). alloc() also gives it zeroed host backing storage
+ * (so the packet-processing logic operates on real bytes); reserve()
+ * places the same range without any, for structures whose host copy
+ * is laid out differently from their simulated one (the LPM tbl24).
  *
  * Two allocation disciplines model the paper's §3.2.1 distinction:
  *  - contiguous (static arena / pools): densely packed, naturally
@@ -51,19 +53,19 @@ const char *region_name(Region r);
  */
 struct MemHandle {
     Addr addr = 0;            ///< Simulated base address.
-    std::uint8_t *host = nullptr;  ///< Host backing storage.
+    std::uint8_t *host = nullptr;  ///< Host backing (nullptr if reserved).
     std::uint64_t size = 0;   ///< Allocation size in bytes.
 
     /** Simulated address of byte @p off within the allocation. */
     Addr at(std::uint64_t off) const { return addr + off; }
 
-    /** True if the handle refers to a real allocation. */
+    /** True if the handle refers to a host-backed allocation. */
     explicit operator bool() const { return host != nullptr; }
 };
 
 /**
- * A flat simulated physical address space with host-backed
- * allocations.
+ * A flat simulated physical address space whose alloc() ranges are
+ * host-backed and whose reserve() ranges are not.
  */
 class SimMemory {
   public:
@@ -74,9 +76,17 @@ class SimMemory {
 
     /**
      * Allocate @p size bytes aligned to @p align (power of two),
-     * contiguously after the previous allocation.
+     * contiguously after the previous allocation, with zeroed host
+     * backing.
      */
     MemHandle alloc(std::uint64_t size, std::uint64_t align, Region r);
+
+    /**
+     * Place a range exactly as alloc() would (same address, region and
+     * socket tag, counted the same) but with no host backing: the
+     * handle's host pointer is nullptr, and so is host_ptr() inside it.
+     */
+    MemHandle reserve(std::uint64_t size, std::uint64_t align, Region r);
 
     /**
      * Allocate with heap-like scatter: the allocation starts on a
@@ -94,8 +104,8 @@ class SimMemory {
 
     /**
      * Look up the host pointer backing simulated address @p a, or
-     * nullptr when @p a was never allocated. O(log n); prefer keeping
-     * the MemHandle instead.
+     * nullptr when @p a was never allocated or was only reserved.
+     * O(log n); prefer keeping the MemHandle instead.
      */
     std::uint8_t *host_ptr(Addr a);
 
@@ -126,7 +136,7 @@ class SimMemory {
     struct Alloc {
         Addr base;
         std::uint64_t size;
-        std::unique_ptr<std::uint8_t[]> host;
+        std::unique_ptr<std::uint8_t[]> host;  // null when reserved
         Region region;
         std::uint32_t socket;
     };

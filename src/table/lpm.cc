@@ -1,6 +1,6 @@
 #include "src/table/lpm.hh"
 
-#include <cstring>
+#include <algorithm>
 
 #include "src/common/log.hh"
 
@@ -37,22 +37,35 @@ NaiveLpm::lookup(Ipv4Addr a) const
 }
 
 Dir24_8::Dir24_8(SimMemory &mem, std::uint32_t max_tbl8_groups)
-    : max_groups_(max_tbl8_groups)
+    : fill_(kChunks), chunks_(kChunks), max_groups_(max_tbl8_groups)
 {
-    tbl24_ = mem.alloc((1u << 24) * sizeof(Entry), kPageBytes,
-                       Region::kTable);
-    tbl8_ = mem.alloc(std::uint64_t(max_tbl8_groups) * 256 * sizeof(Entry),
-                      kPageBytes, Region::kTable);
-    std::memset(tbl24_.host, 0, tbl24_.size);
-    std::memset(tbl8_.host, 0, tbl8_.size);
+    tbl24_ = mem.reserve((std::uint64_t(1) << 24) * kSimEntryBytes,
+                         kPageBytes, Region::kTable);
+    tbl8_ = mem.reserve(std::uint64_t(max_tbl8_groups) * 256 * kSimEntryBytes,
+                        kPageBytes, Region::kTable);
 }
 
-std::uint32_t
-Dir24_8::alloc_tbl8_group()
+Dir24_8::Entry *
+Dir24_8::materialise(std::uint32_t c)
 {
-    if (next_group_ >= max_groups_)
-        return ~0u;
-    return next_group_++;
+    if (!chunks_[c]) {
+        chunks_[c] = std::make_unique<Entry[]>(kChunkSlots);
+        std::fill_n(chunks_[c].get(), kChunkSlots, fill_[c]);
+    }
+    return chunks_[c].get();
+}
+
+void
+Dir24_8::cover(Entry &e, const Route &r)
+{
+    if (e.flags & kGroup) {
+        // Slot spills into a tbl8: update its shorter entries.
+        Entry *grp = &groups_[std::size_t(e.next_hop) * 256];
+        for (std::uint32_t j = 0; j < 256; ++j)
+            cover(grp[j], r);
+    } else if (!(e.flags & kValid) || e.depth <= r.prefix_len) {
+        e = Entry{r.next_hop, r.prefix_len, kValid};
+    }
 }
 
 bool
@@ -64,28 +77,24 @@ Dir24_8::add(const Route &r)
     const std::uint32_t net = r.prefix.value & mask;
 
     if (r.prefix_len <= 24) {
-        // Fill every tbl24 slot covered by the prefix, unless a
-        // more-specific route already owns the slot.
+        // Cover every tbl24 slot of the prefix. A chunk the prefix
+        // covers whole stays uniform: one write to its fill value (a
+        // fill never points to a tbl8). A partly covered chunk is
+        // materialised and covered slot by slot.
         const std::uint32_t first = net >> 8;
-        const std::uint32_t count = 1u << (24 - r.prefix_len);
-        for (std::uint32_t i = 0; i < count; ++i) {
-            Entry &e = tbl24()[first + i];
-            if (e.flags & kGroup) {
-                // Slot spills into a tbl8: update its shorter entries.
-                Entry *grp = tbl8() + std::uint64_t(e.next_hop) * 256;
-                for (std::uint32_t j = 0; j < 256; ++j) {
-                    if (!(grp[j].flags & kValid) ||
-                        grp[j].depth <= r.prefix_len) {
-                        grp[j].next_hop = r.next_hop;
-                        grp[j].depth = r.prefix_len;
-                        grp[j].flags = kValid;
-                    }
-                }
-            } else if (!(e.flags & kValid) || e.depth <= r.prefix_len) {
-                e.next_hop = r.next_hop;
-                e.depth = r.prefix_len;
-                e.flags = kValid;
+        const std::uint32_t last = first + (1u << (24 - r.prefix_len));
+        for (std::uint32_t s = first; s < last;) {
+            const std::uint32_t c = s / kChunkSlots;
+            const std::uint32_t chunk_end = (c + 1) * kChunkSlots;
+            if (!chunks_[c] && s + kChunkSlots <= last) {
+                cover(fill_[c], r);
+                s = chunk_end;
+                continue;
             }
+            Entry *chunk = materialise(c);
+            for (const std::uint32_t end = std::min(last, chunk_end);
+                 s < end; ++s)
+                cover(chunk[s % kChunkSlots], r);
         }
         return true;
     }
@@ -93,35 +102,22 @@ Dir24_8::add(const Route &r)
     // Longer than /24: ensure the covering tbl24 slot points to a
     // tbl8 group, then fill the covered slots inside the group.
     const std::uint32_t slot24 = net >> 8;
-    Entry &top = tbl24()[slot24];
-    Entry *grp;
-    if (top.flags & kGroup) {
-        grp = tbl8() + std::uint64_t(top.next_hop) * 256;
-    } else {
-        const std::uint32_t g = alloc_tbl8_group();
-        if (g == ~0u)
+    Entry &top = materialise(slot24 / kChunkSlots)[slot24 % kChunkSlots];
+    if (!(top.flags & kGroup)) {
+        const std::size_t g = groups_.size() / 256;
+        if (g >= max_groups_)
             return false;
-        grp = tbl8() + std::uint64_t(g) * 256;
         // Seed the group with the previous (shorter) route, if any.
-        for (std::uint32_t j = 0; j < 256; ++j)
-            grp[j] = top.flags & kValid
-                         ? Entry{top.next_hop, top.depth, kValid}
-                         : Entry{};
-        top.next_hop = static_cast<std::uint16_t>(g);
-        top.depth = 24;
-        top.flags = static_cast<std::uint8_t>(kValid | kGroup);
+        groups_.resize(groups_.size() + 256, top);
+        top = Entry{static_cast<std::uint16_t>(g), 24,
+                    static_cast<std::uint8_t>(kValid | kGroup)};
     }
 
+    Entry *grp = &groups_[std::size_t(top.next_hop) * 256];
     const std::uint32_t first = net & 0xFF;
     const std::uint32_t count = 1u << (32 - r.prefix_len);
-    for (std::uint32_t j = 0; j < count; ++j) {
-        Entry &e = grp[first + j];
-        if (!(e.flags & kValid) || e.depth <= r.prefix_len) {
-            e.next_hop = r.next_hop;
-            e.depth = r.prefix_len;
-            e.flags = kValid;
-        }
-    }
+    for (std::uint32_t j = 0; j < count; ++j)
+        cover(grp[first + j], r);
     return true;
 }
 
@@ -130,9 +126,9 @@ Dir24_8::lookup(Ipv4Addr a, AccessSink *sink,
                 std::uint8_t *matched_depth) const
 {
     const std::uint32_t slot24 = a.value >> 8;
-    sink_load(sink, tbl24_.addr + std::uint64_t(slot24) * sizeof(Entry),
+    sink_load(sink, tbl24_.addr + std::uint64_t(slot24) * kSimEntryBytes,
               kAccountedEntryBytes);
-    const Entry &e = tbl24()[slot24];
+    const Entry &e = tbl24(slot24);
     if (!(e.flags & kValid))
         return std::nullopt;
     if (!(e.flags & kGroup)) {
@@ -143,8 +139,8 @@ Dir24_8::lookup(Ipv4Addr a, AccessSink *sink,
 
     const std::uint64_t idx =
         std::uint64_t(e.next_hop) * 256 + (a.value & 0xFF);
-    sink_load(sink, tbl8_.addr + idx * sizeof(Entry), kAccountedEntryBytes);
-    const Entry &e8 = tbl8()[idx];
+    sink_load(sink, tbl8_.addr + idx * kSimEntryBytes, kAccountedEntryBytes);
+    const Entry &e8 = groups_[idx];
     if (!(e8.flags & kValid))
         return std::nullopt;
     if (matched_depth)

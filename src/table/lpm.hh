@@ -18,6 +18,7 @@
 #define PMILL_TABLE_LPM_HH
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -47,7 +48,10 @@ class NaiveLpm {
     std::vector<Route> routes_;
 };
 
-/** DPDK-style DIR-24-8 LPM with SimMemory-backed tables. */
+/**
+ * DPDK-style DIR-24-8 LPM whose tables occupy simulated memory; the
+ * host copies only need to produce the right next hop.
+ */
 class Dir24_8 {
   public:
     /**
@@ -89,18 +93,38 @@ class Dir24_8 {
     };
     static constexpr std::uint8_t kValid = 1;
     static constexpr std::uint8_t kGroup = 2;
+    /// Simulated stride of both tables, fixed apart from sizeof(Entry).
+    static constexpr std::uint32_t kSimEntryBytes = 4;
     /// Accounted bytes per entry (rte_lpm packs entries into 16 bits).
     static constexpr std::uint32_t kAccountedEntryBytes = 2;
+    /// The host copy of tbl24 is kChunks chunks of kChunkSlots slots.
+    static constexpr std::uint32_t kChunkSlots = 4096;
+    static constexpr std::uint32_t kChunks = (1u << 24) / kChunkSlots;
 
-    Entry *tbl24() const { return reinterpret_cast<Entry *>(tbl24_.host); }
-    Entry *tbl8() const { return reinterpret_cast<Entry *>(tbl8_.host); }
+    /// Host copy of tbl24 slot @p slot.
+    const Entry &
+    tbl24(std::uint32_t slot) const
+    {
+        const Entry *c = chunks_[slot / kChunkSlots].get();
+        return c ? c[slot % kChunkSlots] : fill_[slot / kChunkSlots];
+    }
 
-    std::uint32_t alloc_tbl8_group();
+    /// Chunk @p c as 4096 slots of its own, copied from its fill.
+    Entry *materialise(std::uint32_t c);
 
+    /// Write @p r into @p e (every entry of @p e's group, if it has
+    /// one) unless a longer prefix already owns it.
+    void cover(Entry &e, const Route &r);
+
+    // tbl24_ and tbl8_ are simulated ranges with no host bytes. The
+    // host copy of tbl24 is one fill value per chunk plus the chunks
+    // some route covers only part of.
     MemHandle tbl24_;
     MemHandle tbl8_;
+    std::vector<Entry> fill_;
+    std::vector<std::unique_ptr<Entry[]>> chunks_;
+    std::vector<Entry> groups_;  // host tbl8: 256 entries per group
     std::uint32_t max_groups_;
-    std::uint32_t next_group_ = 0;
 };
 
 } // namespace pmill

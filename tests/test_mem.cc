@@ -68,6 +68,38 @@ TEST(SimMemory, RegionAccounting)
     EXPECT_EQ(mem.allocated_bytes(Region::kTable), 0u);
 }
 
+TEST(SimMemory, ReservePlacesLikeAllocWithoutBacking)
+{
+    SimMemory a, b;
+    for (SimMemory *m : {&a, &b}) {
+        m->set_home_socket(1);
+        m->alloc(100, 64, Region::kHeap);  // leave next_ unaligned
+    }
+    const std::uint64_t n = 3 * kPageBytes + 5;
+    const MemHandle backed = a.alloc(n, kPageBytes, Region::kTable);
+    const MemHandle held = b.reserve(n, kPageBytes, Region::kTable);
+    EXPECT_EQ(held.addr, backed.addr);
+    EXPECT_EQ(held.size, n);
+    EXPECT_EQ(held.host, nullptr);
+    EXPECT_FALSE(held);
+
+    // The range is counted and tagged like an allocation...
+    EXPECT_EQ(b.allocated_bytes(Region::kTable), n);
+    EXPECT_EQ(b.total_allocated(), a.total_allocated());
+    for (const Addr at : {held.addr, held.addr + n - 1}) {
+        EXPECT_EQ(b.region_of(at), Region::kTable);
+        EXPECT_EQ(b.socket_of(at), 1u);
+        EXPECT_EQ(b.host_ptr(at), nullptr);  // ...but has no host bytes.
+    }
+    EXPECT_EQ(b.region_of(held.addr + n), Region::kHeap);
+
+    // The next allocation lands where it would have after alloc().
+    const MemHandle after_a = a.alloc(64, 64, Region::kHeap);
+    const MemHandle after_b = b.alloc(64, 64, Region::kHeap);
+    EXPECT_EQ(after_b.addr, after_a.addr);
+    EXPECT_EQ(b.host_ptr(after_b.addr + 3), after_b.host + 3);
+}
+
 CacheConfig
 tiny_config()
 {
