@@ -1,6 +1,6 @@
 #include "src/framework/element.hh"
 
-#include <algorithm>
+#include <utility>
 
 namespace pmill {
 
@@ -39,17 +39,6 @@ ElementRegistry::create(const std::string &class_name) const
         if (name == class_name)
             return f();
     return nullptr;
-}
-
-std::vector<std::string>
-ElementRegistry::class_names() const
-{
-    std::vector<std::string> names;
-    names.reserve(factories_.size());
-    for (const auto &[name, f] : factories_)
-        names.push_back(name);
-    std::sort(names.begin(), names.end());
-    return names;
 }
 
 } // namespace pmill

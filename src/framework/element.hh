@@ -186,9 +186,6 @@ class ElementRegistry {
     /** Instantiate @p class_name; nullptr when unknown. */
     std::unique_ptr<Element> create(const std::string &class_name) const;
 
-    /** Sorted list of registered class names. */
-    std::vector<std::string> class_names() const;
-
   private:
     std::vector<std::pair<std::string, Factory>> factories_;
 };

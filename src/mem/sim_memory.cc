@@ -6,23 +6,6 @@
 
 namespace pmill {
 
-const char *
-region_name(Region r)
-{
-    switch (r) {
-      case Region::kStaticArena: return "static-arena";
-      case Region::kHeap: return "heap";
-      case Region::kMbufPool: return "mbuf-pool";
-      case Region::kMetadataPool: return "metadata-pool";
-      case Region::kPacketData: return "packet-data";
-      case Region::kDeviceRing: return "device-ring";
-      case Region::kTable: return "table";
-      case Region::kScratch: return "scratch";
-      case Region::kPayloadPark: return "payload-park";
-    }
-    return "unknown";
-}
-
 SimMemory::SimMemory()
     : next_(0x100000),  // leave the first MiB unused (catches addr 0 bugs)
       scatter_rng_(0xC0FFEEull)

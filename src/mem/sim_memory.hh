@@ -44,9 +44,6 @@ enum class Region : std::uint8_t {
     kPayloadPark,   ///< Parked-payload arena (Parking model).
 };
 
-/** Human-readable region name. */
-const char *region_name(Region r);
-
 /**
  * Handle to one simulated allocation: the simulated base address used
  * for cache accounting and the host pointer used for real data access.

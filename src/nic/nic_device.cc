@@ -357,83 +357,91 @@ NicDevice::post_tx(std::uint32_t queue, const TxDescriptor &desc)
     return ok;
 }
 
+TimeNs
+NicDevice::departure_of(const TxDescriptor &head, TimeNs &dma_done) const
+{
+    const double pcie_ns =
+        static_cast<double>(head.len + cfg_.pcie_pkt_overhead_bytes) /
+        cfg_.pcie_bytes_per_sec * 1e9;
+    dma_done = std::max(pcie_tx_free_, head.post_ns) + pcie_ns;
+    return std::max(dma_done, wire_tx_free_) + wire_time_ns(head.len);
+}
+
 void
 NicDevice::drain_tx(TimeNs now, std::vector<TxCompletion> &out,
                     bool defer_dma)
 {
     // Early-out when no queue's cached completion bound has been
-    // reached. The min over per-queue bounds equals the shared bound
-    // the pre-shard code kept (same estimates, same 0-reset on a post
-    // to an empty queue), so the decision is identical.
+    // reached: the oldest head departs no earlier than its own bound,
+    // so nothing could be served.
     TimeNs bound = std::numeric_limits<double>::infinity();
     for (const auto &q : queues_)
         bound = std::min(bound, q.tx_bound);
     if (now < bound)
         return;
 
-    // Round-robin across queues while any head frame can finish
-    // serializing by `now`.
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (auto &q : queues_) {
-            if (q.tx_pending.empty())
-                continue;
-            const TxDescriptor &head = q.tx_pending.front();
-            const double pcie_ns =
-                static_cast<double>(head.len + cfg_.pcie_pkt_overhead_bytes) /
-                cfg_.pcie_bytes_per_sec * 1e9;
-            const TimeNs dma_done =
-                std::max(pcie_tx_free_, head.post_ns) + pcie_ns;
-            const TimeNs wire_start = std::max(dma_done, wire_tx_free_);
-            const TimeNs departure = wire_start + wire_time_ns(head.len);
-            if (departure > now)
-                continue;
+    // Work-conserving drain: each step serves the head with the
+    // smallest post_ns across queues (ties to the lower queue) and
+    // stops when that head cannot finish serializing by `now`. The
+    // order depends only on post times, never on how often the
+    // caller drains.
+    for (;;) {
+        Queue *oldest = nullptr;
+        for (auto &q : queues_)
+            if (!q.tx_pending.empty() &&
+                (oldest == nullptr ||
+                 q.tx_pending.front().post_ns <
+                     oldest->tx_pending.front().post_ns))
+                oldest = &q;
+        if (oldest == nullptr)
+            break;
+        Queue &q = *oldest;
+        const TxDescriptor &head = q.tx_pending.front();
+        TimeNs dma_done;
+        const TimeNs departure = departure_of(head, dma_done);
+        if (departure > now)
+            break;
 
-            // Device reads the TX descriptor, then the frame bytes
-            // (from LLC when DDIO kept them resident, else DRAM).
-            // With defer_dma the caller replays both reads on the
-            // owning core's thread; only the addresses are recorded.
-            const std::uint32_t qi =
-                static_cast<std::uint32_t>(&q - queues_.data());
-            const Addr desc_addr =
-                tx_desc_addr(qi, q.tx_pending.next_pop_slot());
-            if (!defer_dma) {
-                CacheHierarchy &qc = *queue_caches_[qi];
-                qc.access(desc_addr, kDescBytes, AccessType::kDevRead);
-                // Parking model: gather — header bytes from the
-                // buffer, payload bytes from the park arena.
-                qc.access(head.buf_addr, head.len - head.park_len,
-                          AccessType::kDevRead);
-                if (head.park_len != 0)
-                    qc.access(head.park_addr, head.park_len,
-                              AccessType::kParkRead);
-            }
-
-            TxCompletion c;
-            c.buf_addr = head.buf_addr;
-            c.buf_host = head.buf_host;
-            c.len = head.len;
-            c.arrival_ns = head.arrival_ns;
-            c.departure_ns = departure;
-            c.queue = qi;
-            c.desc_addr = desc_addr;
-            c.park_addr = head.park_addr;
-            c.park_len = head.park_len;
-            c.park_ticket = head.park_ticket;
-            c.park_host = head.park_host;
-            out.push_back(c);
-
-            pcie_tx_free_ = dma_done;
-            wire_tx_free_ = departure;
-            ++stats_.tx_frames;
-            stats_.tx_bytes += head.len;
-            snap_dirty_.store(true, std::memory_order_relaxed);
-
-            TxDescriptor dropped;
-            q.tx_pending.pop(dropped);
-            progress = true;
+        // Device reads the TX descriptor, then the frame bytes (from
+        // LLC when DDIO kept them resident, else DRAM). With defer_dma
+        // the caller replays both reads on the owning core's thread;
+        // only the addresses are recorded.
+        const auto qi = static_cast<std::uint32_t>(&q - queues_.data());
+        const Addr desc_addr = tx_desc_addr(qi, q.tx_pending.next_pop_slot());
+        if (!defer_dma) {
+            CacheHierarchy &qc = *queue_caches_[qi];
+            qc.access(desc_addr, kDescBytes, AccessType::kDevRead);
+            // Parking model: gather — header bytes from the buffer,
+            // payload bytes from the park arena.
+            qc.access(head.buf_addr, head.len - head.park_len,
+                      AccessType::kDevRead);
+            if (head.park_len != 0)
+                qc.access(head.park_addr, head.park_len,
+                          AccessType::kParkRead);
         }
+
+        TxCompletion c;
+        c.buf_addr = head.buf_addr;
+        c.buf_host = head.buf_host;
+        c.len = head.len;
+        c.arrival_ns = head.arrival_ns;
+        c.departure_ns = departure;
+        c.queue = qi;
+        c.desc_addr = desc_addr;
+        c.park_addr = head.park_addr;
+        c.park_len = head.park_len;
+        c.park_ticket = head.park_ticket;
+        c.park_host = head.park_host;
+        out.push_back(c);
+
+        pcie_tx_free_ = dma_done;
+        wire_tx_free_ = departure;
+        ++stats_.tx_frames;
+        stats_.tx_bytes += head.len;
+        snap_dirty_.store(true, std::memory_order_relaxed);
+
+        TxDescriptor dropped;
+        q.tx_pending.pop(dropped);
     }
 
     // Cache the earliest completion each remaining head could reach.
@@ -441,18 +449,10 @@ NicDevice::drain_tx(TimeNs now, std::vector<TxCompletion> &out,
     // pass only advances pcie_tx_free_/wire_tx_free_, so these are
     // lower bounds and the early-out above is exact.
     for (auto &q : queues_) {
-        if (q.tx_pending.empty()) {
-            q.tx_bound = std::numeric_limits<double>::infinity();
-            continue;
-        }
-        const TxDescriptor &head = q.tx_pending.front();
-        const double pcie_ns =
-            static_cast<double>(head.len + cfg_.pcie_pkt_overhead_bytes) /
-            cfg_.pcie_bytes_per_sec * 1e9;
-        const TimeNs dma_done =
-            std::max(pcie_tx_free_, head.post_ns) + pcie_ns;
-        const TimeNs wire_start = std::max(dma_done, wire_tx_free_);
-        q.tx_bound = wire_start + wire_time_ns(head.len);
+        TimeNs dma_done;
+        q.tx_bound = q.tx_pending.empty()
+                         ? std::numeric_limits<double>::infinity()
+                         : departure_of(q.tx_pending.front(), dma_done);
     }
 }
 

@@ -267,9 +267,14 @@ class NicDevice {
 
     /**
      * Engine-side: serialize pending TX frames onto the wire up to
-     * time @p now. DMA reads of frame data are accounted as device
-     * reads. Completions (with departure timestamps) are appended to
-     * @p out; buffer ownership returns to the caller.
+     * time @p now. The queue heads share one PCIe TX pipe and one
+     * wire and are served in global post order: each step takes the
+     * head with the smallest post_ns (ties to the lower queue) and the
+     * drain stops at the first such head that cannot depart by @p now.
+     * The departures therefore do not depend on how often the caller
+     * drains. DMA reads of frame data are accounted as device reads.
+     * Completions (with departure timestamps) are appended to @p out;
+     * buffer ownership returns to the caller.
      *
      * With @p defer_dma the descriptor/frame device reads are NOT
      * performed here: the caller replays them from the completion's
@@ -397,8 +402,9 @@ class NicDevice {
         NicStats rx_stats;
         /// Per-queue lower bound on this queue's next TX completion
         /// time (see drain_tx). The device-level early-out is the min
-        /// over queues — provably the same decision the old shared
-        /// bound made. Reset to 0 when a post lands on a previously
+        /// over queues, and it is exact: the oldest head departs no
+        /// earlier than its own bound, and later passes only advance
+        /// the pipes. Reset to 0 when a post lands on a previously
         /// empty queue (a fresh head may beat the cached bound); the
         /// reset touches only this queue's cell, so concurrent posts
         /// on different queues stay race-free.
@@ -416,6 +422,12 @@ class NicDevice {
     bool deliver_impl(std::uint32_t qi, const std::uint8_t *frame,
                       std::uint32_t len, TimeNs now, TimeNs *pcie_free,
                       NicStats *st);
+
+    /**
+     * Departure time of TX @p head if it were served next, given the
+     * current pipe state; @p dma_done receives when its PCIe read ends.
+     */
+    TimeNs departure_of(const TxDescriptor &head, TimeNs &dma_done) const;
 
     NicConfig cfg_;
     CacheHierarchy &caches_;

@@ -333,6 +333,59 @@ TEST(NicDevice, TxSerializationOrdersDepartures)
     EXPECT_NEAR(done[2].departure_ns - done[1].departure_ns, wire, 1.0);
 }
 
+// TX heads on different queues share one PCIe pipe and one wire and
+// are served in global post order, ties to the lower queue. The
+// departures must not depend on how often the caller drains.
+TEST(NicDevice, TxDrainServesHeadsInPostOrder)
+{
+    struct Post {
+        std::uint32_t queue;
+        TimeNs post_ns;
+    };
+    const Post posts[] = {{1, 0.0}, {0, 10.0}, {3, 20.0}, {2, 20.0}};
+
+    auto drain = [&](const std::vector<TimeNs> &nows) {
+        SimMemory mem;
+        CacheHierarchy caches;
+        NicConfig nc;
+        nc.num_queues = 4;
+        NicDevice nic(nc, caches, mem);
+        MemHandle buf = mem.alloc(4096, 64, Region::kPacketData);
+        for (const Post &p : posts) {
+            TxDescriptor d;
+            d.buf_addr = buf.addr;
+            d.buf_host = buf.host;
+            d.len = 1000;
+            d.post_ns = p.post_ns;
+            EXPECT_TRUE(nic.post_tx(p.queue, d));
+        }
+        std::vector<TxCompletion> done;
+        for (TimeNs now : nows)
+            nic.drain_tx(now, done);
+        return done;
+    };
+
+    const TimeNs late = 5000.0;
+    const std::vector<TxCompletion> once = drain({late});
+    ASSERT_EQ(once.size(), 4u);
+    const std::uint32_t order[] = {1, 0, 2, 3};
+    for (std::size_t i = 0; i < 4; ++i)
+        EXPECT_EQ(once[i].queue, order[i]) << "completion " << i;
+    for (std::size_t i = 1; i < 4; ++i)
+        EXPECT_GT(once[i].departure_ns, once[i - 1].departure_ns);
+
+    std::vector<TimeNs> steps;
+    for (TimeNs t = 0.0; t <= late; t += 1.0)
+        steps.push_back(t);
+    const std::vector<TxCompletion> stepped = drain(steps);
+    ASSERT_EQ(stepped.size(), once.size());
+    for (std::size_t i = 0; i < once.size(); ++i) {
+        EXPECT_EQ(stepped[i].queue, once[i].queue) << "completion " << i;
+        EXPECT_EQ(stepped[i].departure_ns, once[i].departure_ns)
+            << "completion " << i;
+    }
+}
+
 TEST(NicDevice, RssSpreadsFlowsAcrossQueues)
 {
     SimMemory mem;

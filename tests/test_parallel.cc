@@ -220,6 +220,30 @@ TEST(EpochEdge, ZeroWarmup)
     expect_bitexact(t1, t4);
 }
 
+// The TX wire stays busy whatever the epoch length: a 4-core router
+// offered 70 Gbps (well under its capacity) delivers all of it, because
+// the NIC drains TX heads in post order however rarely the epoch
+// scheduler drains. Only delivery is checked here, not bit-identity
+// across epoch lengths.
+TEST(EpochEdge, FourCoreRouterDeliversOfferedLoadAtEveryEpochLength)
+{
+    for (double epoch_us : {0.25, 1.0, 4.0, 16.0}) {
+        MachineConfig m;
+        m.num_cores = 4;
+        Engine engine(m, router_config(), PipelineOpts::vanilla(),
+                      make_fixed_size_trace(512, 2048, 512));
+        RunConfig rc;
+        rc.offered_gbps = 70.0;
+        rc.warmup_us = 500.0;
+        rc.duration_us = 2000.0;
+        rc.sample_interval_us = 0;
+        rc.host_threads = 1;
+        rc.epoch_us = epoch_us;
+        EXPECT_GE(engine.run(rc).throughput_gbps, 69.9)
+            << "epoch_us " << epoch_us;
+    }
+}
+
 // Tracing forces one worker (with a warning); results still must not
 // depend on the requested thread count.
 TEST(EpochEdge, TracingSerializesButStaysDeterministic)
