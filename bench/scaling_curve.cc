@@ -15,9 +15,10 @@
  * skew=1.3 Zipf elephant pins one core while its siblings idle. The
  * run is repeated with the "steer" control policy, whose mid-run
  * indirection-table rewrites migrate the hot core's other buckets
- * away. This binary hard-fails unless the controlled run recovers
- * measurable p99 headroom over the uncontrolled one AND actually
- * rewrote the table — the recovery itself is pinned in the golden.
+ * away. This binary hard-fails unless the controlled run's p99 is
+ * strictly below the uncontrolled one's AND it actually rewrote the
+ * table; no minimum margin is required, so the size of the recovery is
+ * read from the golden (ctl_headroom_pct), not from this check.
  */
 
 #include <chrono>
