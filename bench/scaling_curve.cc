@@ -17,8 +17,11 @@
  * indirection-table rewrites migrate the hot core's other buckets
  * away. This binary hard-fails unless the controlled run's p99 is
  * strictly below the uncontrolled one's AND it actually rewrote the
- * table; no minimum margin is required, so the size of the recovery is
- * read from the golden (ctl_headroom_pct), not from this check.
+ * table, with no minimum margin. At the pinned scenario the check
+ * passes by 0.05 us (p99 15.64 -> 15.58 us, ctl_headroom_pct 0.3)
+ * while the controlled run's p50 is 10 % worse (0.98 -> 1.09 us): it
+ * shows that the controller acts, not that steering recovers a
+ * meaningful share of p99.
  */
 
 #include <chrono>

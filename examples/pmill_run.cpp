@@ -110,8 +110,9 @@ main(int argc, char **argv)
          Double{.out = &offered, .lo = 0, .hi = 1000, .lo_open = true}},
         {"--cores", "N", "RSS cores (default 1)", U32{&cores, 1, 64}},
         {"--host-threads", "N",
-         "host workers (default 1, at most --cores); results are "
-         "bit-identical for every N; tracing forces 1",
+         "host workers of the epoch scheduler (default 1, at most "
+         "--cores); results are bit-identical for every N; tracing "
+         "forces 1",
          U32{&host_threads, 1, 64}},
         {"--nics", "N", "NICs, one RX queue per core each (default 1)",
          U32{&nics, 1, 8}},

@@ -14,7 +14,7 @@ namespace pmill {
 
 NicDevice::NicDevice(const NicConfig &cfg, CacheHierarchy &caches,
                      SimMemory &mem)
-    : cfg_(cfg), caches_(caches)
+    : cfg_(cfg)
 {
     PMILL_ASSERT(cfg.num_queues >= 1, "NIC needs at least one queue");
     if (cfg.rss_table_size != 0) {
@@ -84,40 +84,24 @@ NicDevice::rss_queue(const std::uint8_t *frame, std::uint32_t len) const
 }
 
 bool
-NicDevice::deliver(const std::uint8_t *frame, std::uint32_t len, TimeNs now)
+NicDevice::deliver(std::uint32_t qi, const std::uint8_t *frame,
+                   std::uint32_t len, TimeNs now)
 {
-    const std::uint32_t qi = rss_queue(frame, len);
-    return deliver_impl(qi, frame, len, now, &pcie_rx_free_, &stats_);
-}
-
-bool
-NicDevice::deliver_sharded(std::uint32_t queue, const std::uint8_t *frame,
-                           std::uint32_t len, TimeNs now)
-{
-    PMILL_ASSERT(queue < queues_.size(), "bad queue");
-    Queue &q = queues_[queue];
-    return deliver_impl(queue, frame, len, now, &q.pcie_rx_free,
-                        &q.rx_stats);
-}
-
-bool
-NicDevice::deliver_impl(std::uint32_t qi, const std::uint8_t *frame,
-                        std::uint32_t len, TimeNs now, TimeNs *pcie_free,
-                        NicStats *st)
-{
+    PMILL_ASSERT(qi < queues_.size(), "bad queue");
     Queue &q = queues_[qi];
+    NicStats &st = q.rx_stats;
     // Every path below bumps some counter; invalidate the summed
     // snapshot (relaxed: recomputation happens at serial points only).
     snap_dirty_.store(true, std::memory_order_relaxed);
 
     if (q.rx_free.empty()) {
-        ++st->rx_drops_no_desc;
+        ++st.rx_drops_no_desc;
         PMILL_TRACE(tracer_, TraceEventKind::kDrop, now, 0, 0, trace_span_,
                     kDropNoRxDesc);
         return false;
     }
     if (q.completions.full()) {
-        ++st->rx_drops_pcie;
+        ++st.rx_drops_pcie;
         PMILL_TRACE(tracer_, TraceEventKind::kDrop, now, 0, 0, trace_span_,
                     kDropPcie);
         return false;
@@ -130,12 +114,12 @@ NicDevice::deliver_impl(std::uint32_t qi, const std::uint8_t *frame,
     RxDescriptor desc;
     q.rx_free.pop(desc);
 
-    // PCIe DMA of the frame (the RX direction pipe serializes).
+    // PCIe DMA of the frame (the queue's RX pipe serializes).
     const double pcie_ns =
         static_cast<double>(len + cfg_.pcie_pkt_overhead_bytes) /
         cfg_.pcie_bytes_per_sec * 1e9;
-    const TimeNs dma_done = std::max(now, *pcie_free) + pcie_ns;
-    *pcie_free = dma_done;
+    const TimeNs dma_done = std::max(now, q.pcie_rx_free) + pcie_ns;
+    q.pcie_rx_free = dma_done;
 
     // Device writes: frame data into the posted buffer, then the CQE.
     // Both land in the LLC DDIO ways — except when a park dock is
@@ -179,15 +163,17 @@ NicDevice::deliver_impl(std::uint32_t qi, const std::uint8_t *frame,
     const bool pushed = q.completions.push(cqe);
     PMILL_ASSERT(pushed, "completion ring overflow despite check");
 
-    ++st->rx_frames;
-    st->rx_bytes += len;
+    ++st.rx_frames;
+    st.rx_bytes += len;
     return true;
 }
 
 NicStats
 NicDevice::stats() const
 {
-    NicStats s = stats_;
+    NicStats s;
+    s.tx_frames = tx_frames_;
+    s.tx_bytes = tx_bytes_;
     for (const Queue &q : queues_) {
         s.rx_frames += q.rx_stats.rx_frames;
         s.rx_bytes += q.rx_stats.rx_bytes;
@@ -210,7 +196,7 @@ NicDevice::stats_snapshot() const
 void
 NicDevice::stats_reset()
 {
-    stats_ = NicStats{};
+    tx_frames_ = tx_bytes_ = 0;
     for (Queue &q : queues_)
         q.rx_stats = NicStats{};
     snap_dirty_.store(true, std::memory_order_relaxed);
@@ -237,16 +223,6 @@ NicDevice::next_cqe_time(std::uint32_t queue) const
     if (q.completions.empty())
         return std::numeric_limits<double>::infinity();
     return q.completions.front().arrival_ns;
-}
-
-bool
-NicDevice::tx_idle() const
-{
-    for (const Queue &q : queues_) {
-        if (!q.tx_pending.empty())
-            return false;
-    }
-    return true;
 }
 
 bool
@@ -368,8 +344,7 @@ NicDevice::departure_of(const TxDescriptor &head, TimeNs &dma_done) const
 }
 
 void
-NicDevice::drain_tx(TimeNs now, std::vector<TxCompletion> &out,
-                    bool defer_dma)
+NicDevice::drain_tx(TimeNs now, std::vector<TxCompletion> &out)
 {
     // Early-out when no queue's cached completion bound has been
     // reached: the oldest head departs no earlier than its own bound,
@@ -402,23 +377,11 @@ NicDevice::drain_tx(TimeNs now, std::vector<TxCompletion> &out,
         if (departure > now)
             break;
 
-        // Device reads the TX descriptor, then the frame bytes (from
-        // LLC when DDIO kept them resident, else DRAM). With defer_dma
-        // the caller replays both reads on the owning core's thread;
-        // only the addresses are recorded.
+        // The device reads the TX descriptor, then the frame bytes;
+        // only the addresses are recorded here, and the caller replays
+        // both reads on the owning core's hierarchy.
         const auto qi = static_cast<std::uint32_t>(&q - queues_.data());
         const Addr desc_addr = tx_desc_addr(qi, q.tx_pending.next_pop_slot());
-        if (!defer_dma) {
-            CacheHierarchy &qc = *queue_caches_[qi];
-            qc.access(desc_addr, kDescBytes, AccessType::kDevRead);
-            // Parking model: gather — header bytes from the buffer,
-            // payload bytes from the park arena.
-            qc.access(head.buf_addr, head.len - head.park_len,
-                      AccessType::kDevRead);
-            if (head.park_len != 0)
-                qc.access(head.park_addr, head.park_len,
-                          AccessType::kParkRead);
-        }
 
         TxCompletion c;
         c.buf_addr = head.buf_addr;
@@ -436,8 +399,8 @@ NicDevice::drain_tx(TimeNs now, std::vector<TxCompletion> &out,
 
         pcie_tx_free_ = dma_done;
         wire_tx_free_ = departure;
-        ++stats_.tx_frames;
-        stats_.tx_bytes += head.len;
+        ++tx_frames_;
+        tx_bytes_ += head.len;
         snap_dirty_.store(true, std::memory_order_relaxed);
 
         TxDescriptor dropped;

@@ -11,9 +11,9 @@
  * Frame DMA and CQE writes go through the cache hierarchy as device
  * writes (allocating into the LLC's DDIO ways only), so the paper's
  * locality arguments about metadata and buffer working sets are
- * physically represented. PCIe is modeled as two independent
- * direction pipes with a per-packet overhead, which is what caps
- * large-packet pps in Fig. 6.
+ * physically represented. PCIe is modeled as direction pipes with a
+ * per-packet overhead (one RX pipe per queue, one TX pipe shared by
+ * all queues), which is what caps large-packet pps in Fig. 6.
  */
 
 #ifndef PMILL_NIC_NIC_DEVICE_HH
@@ -165,8 +165,8 @@ class NicDevice {
      * Install a park dock on @p queue (Parking model): deliver()
      * writes only the first @p split_bytes of each longer frame into
      * the posted buffer and parks the remainder in @p park
-     * (DRAM-direct, AccessType::kParkWrite); drain_tx() gathers it
-     * back (kParkRead). nullptr unbinds.
+     * (DRAM-direct, AccessType::kParkWrite); the TX gather reads it
+     * back (kParkRead, replayed from the completion). nullptr unbinds.
      */
     void bind_queue_park(std::uint32_t queue, PayloadPark *park,
                          std::uint32_t split_bytes);
@@ -174,9 +174,8 @@ class NicDevice {
     const NicConfig &config() const { return cfg_; }
     /**
      * Aggregate device counters. RX counters accumulate in a per-queue
-     * shard when frames arrive via deliver_sharded() (so concurrent
-     * worker threads never touch a shared cell); this sums the shards
-     * into the device-level base on every call, hence by value.
+     * shard (so concurrent worker threads never touch a shared cell);
+     * this sums the shards on every call, hence by value.
      */
     NicStats stats() const;
     void stats_reset();
@@ -223,24 +222,17 @@ class NicDevice {
     }
 
     /**
-     * A frame finished arriving on the wire at @p now. The NIC DMAs
-     * it into a posted buffer of the RSS-selected queue and writes a
-     * CQE, both as device writes through the cache hierarchy.
+     * A frame finished arriving on the wire at @p now; the caller has
+     * RSS-routed it to @p queue (rss_queue()). The NIC DMAs it over the
+     * queue's own RX PCIe pipe into a posted buffer and writes a CQE,
+     * both as device writes through the queue-bound cache hierarchy.
+     * All mutable state touched (ring, PCIe pipe, stat shard) is
+     * private to the queue, so concurrent calls for different queues
+     * are race-free.
      * @return false when dropped (no descriptor or PCIe backlog).
      */
-    bool deliver(const std::uint8_t *frame, std::uint32_t len, TimeNs now);
-
-    /**
-     * Arrival variant for the epoch scheduler: the caller already
-     * RSS-routed the frame to @p queue, and all mutable state touched
-     * (ring, PCIe pipe shard, stat shard, the queue-bound cache
-     * hierarchy) is private to that queue, so concurrent calls for
-     * different queues are race-free. Models a per-queue RX PCIe
-     * pipe — a documented divergence from deliver()'s shared pipe
-     * (DESIGN.md section 9).
-     */
-    bool deliver_sharded(std::uint32_t queue, const std::uint8_t *frame,
-                         std::uint32_t len, TimeNs now);
+    bool deliver(std::uint32_t queue, const std::uint8_t *frame,
+                 std::uint32_t len, TimeNs now);
 
     /**
      * Driver-side: pop up to @p max completed CQEs (arrival time
@@ -252,9 +244,6 @@ class NicDevice {
 
     /** Peek the arrival time of the next pending CQE (or +inf). */
     TimeNs next_cqe_time(std::uint32_t queue) const;
-
-    /** True when no queue has frames waiting to serialize out. */
-    bool tx_idle() const;
 
     /** Driver-side: post a free buffer to @p queue 's RX ring. */
     bool replenish(std::uint32_t queue, const RxDescriptor &desc);
@@ -272,18 +261,14 @@ class NicDevice {
      * head with the smallest post_ns (ties to the lower queue) and the
      * drain stops at the first such head that cannot depart by @p now.
      * The departures therefore do not depend on how often the caller
-     * drains. DMA reads of frame data are accounted as device reads.
-     * Completions (with departure timestamps) are appended to @p out;
-     * buffer ownership returns to the caller.
-     *
-     * With @p defer_dma the descriptor/frame device reads are NOT
-     * performed here: the caller replays them from the completion's
-     * desc_addr/buf_addr on the owning core's hierarchy (the epoch
-     * scheduler does this on the worker thread, keeping every cache
-     * access core-local). Timing and drain order are unchanged.
+     * drains. Completions (with departure timestamps) are appended to
+     * @p out; buffer ownership returns to the caller. The drain
+     * touches no simulated memory: the caller replays the device's
+     * descriptor and frame reads from the completion's
+     * desc_addr/buf_addr/park_addr on the owning core's hierarchy,
+     * keeping every cache access core-local.
      */
-    void drain_tx(TimeNs now, std::vector<TxCompletion> &out,
-                  bool defer_dma = false);
+    void drain_tx(TimeNs now, std::vector<TxCompletion> &out);
 
     /**
      * Handoff delivery: place an already-received frame (copied from
@@ -393,12 +378,10 @@ class NicDevice {
         MemHandle cq_mem;   ///< CQE ring backing (ring_size x 64 B)
         MemHandle rxd_mem;  ///< RX descriptor ring backing
         MemHandle txd_mem;  ///< TX descriptor ring backing
-        /// RX PCIe pipe shard used by deliver_sharded() only (the
-        /// legacy deliver() serializes all queues through the shared
-        /// pcie_rx_free_).
+        /// Next instant this queue's RX PCIe pipe frees.
         TimeNs pcie_rx_free = 0;
-        /// RX counters accumulated by deliver_sharded() (summed into
-        /// stats() on read). Writable from the queue's worker thread.
+        /// RX counters accumulated by deliver() (summed into stats()
+        /// on read). Writable from the queue's worker thread.
         NicStats rx_stats;
         /// Per-queue lower bound on this queue's next TX completion
         /// time (see drain_tx). The device-level early-out is the min
@@ -415,28 +398,19 @@ class NicDevice {
     };
 
     /**
-     * Shared arrival body: @p pcie_free and @p st select the shared
-     * members (legacy path, bit-exact with the pre-shard code) or the
-     * queue's shards (deliver_sharded).
-     */
-    bool deliver_impl(std::uint32_t qi, const std::uint8_t *frame,
-                      std::uint32_t len, TimeNs now, TimeNs *pcie_free,
-                      NicStats *st);
-
-    /**
      * Departure time of TX @p head if it were served next, given the
      * current pipe state; @p dma_done receives when its PCIe read ends.
      */
     TimeNs departure_of(const TxDescriptor &head, TimeNs &dma_done) const;
 
     NicConfig cfg_;
-    CacheHierarchy &caches_;
     std::vector<CacheHierarchy *> queue_caches_;
     /// Per-queue park docks (Parking model; null = no parking).
     std::vector<PayloadPark *> queue_parks_;
     std::vector<std::uint32_t> park_splits_;
     std::vector<Queue> queues_;
-    NicStats stats_;
+    std::uint64_t tx_frames_ = 0;
+    std::uint64_t tx_bytes_ = 0;
     /// RSS indirection table + per-bucket arrival counters (empty =
     /// legacy modulo mapping). Touched only at serial points (RSS
     /// routing is conductor-side in the epoch scheduler).
@@ -449,8 +423,7 @@ class NicDevice {
     mutable std::atomic<bool> snap_dirty_{true};
     Tracer *tracer_ = nullptr;
     std::uint16_t trace_span_ = 0;
-    TimeNs pcie_rx_free_ = 0;  ///< next instant the RX PCIe pipe frees
-    TimeNs pcie_tx_free_ = 0;
+    TimeNs pcie_tx_free_ = 0;  ///< next instant the TX PCIe pipe frees
     TimeNs wire_tx_free_ = 0;  ///< next instant the TX wire frees
 };
 

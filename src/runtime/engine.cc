@@ -5,7 +5,6 @@
 #include <cctype>
 #include <cmath>
 #include <cstring>
-#include <deque>
 #include <limits>
 #include <thread>
 
@@ -196,12 +195,9 @@ Engine::init(const std::string &config_text)
     mem_->set_home_socket(0);
     NicConfig nc = machine.nic;
     nc.num_queues = machine.num_cores;
-    queue_dp_.resize(machine.num_nics);
-    for (std::uint32_t n = 0; n < machine.num_nics; ++n) {
+    for (std::uint32_t n = 0; n < machine.num_nics; ++n)
         nics_.push_back(std::make_unique<NicDevice>(
             nc, *cores_[0]->caches, *mem_));
-        queue_dp_[n].resize(nc.num_queues, nullptr);
-    }
 
     DatapathConfig dcfg;
     dcfg.burst = opts.burst;
@@ -220,7 +216,6 @@ Engine::init(const std::string &config_text)
             bq.queue = c;
             bq.dp = make_datapath(opts.model, *nics_[n], *mem_,
                                   core.pipe->layout(), c, dcfg);
-            queue_dp_[n][c] = bq.dp.get();
             core.dps.push_back(std::move(bq));
         }
     }
@@ -670,14 +665,14 @@ Engine::next_arrival(std::uint32_t *nic) const
 }
 
 Engine::Arrival
-Engine::pace(std::uint32_t nic)
+Engine::pace(std::uint32_t nic, std::uint8_t *frame)
 {
     Arrival a;
     a.nic = nic;
     a.start = next_start_[nic];
     double gap_scale = 1.0;
     a.len = sources_[nic]->next_frame(
-        gen_buf_.data(), static_cast<std::uint32_t>(gen_buf_.size()),
+        frame, kMaxFrameLen,
         &gap_scale);
     a.done = a.start + nics_[nic]->wire_time_ns(a.len);
 
@@ -804,34 +799,6 @@ Engine::step_core(Core &core)
     }
 }
 
-bool
-Engine::can_idle_spin() const
-{
-    // Tracing stamps per-step tracer state; a live sampler snapshots
-    // counters at intermediate event times. Both observe individual
-    // spins, so replaying them in bulk is only done when neither can.
-    if (PMILL_TRACE_ON(tracer_.get()))
-        return false;
-    if (sampler_ && measuring_)
-        return false;
-    // Global quiescence is required, not just this core's: a pending
-    // CQE on ANY core means that core may process and post TX inside
-    // the window, and TX in flight means the per-event drain_all_tx
-    // calls being skipped might not be no-ops (a deferred drain would
-    // replenish RX descriptors later than the reference interleaving).
-    // With every queue dry and the wire idle, nothing can happen until
-    // the next generator arrival except empty polls.
-    for (const auto &c : cores_) {
-        if (next_cqe_time(*c) < kInf)
-            return false;
-    }
-    for (const auto &nic : nics_) {
-        if (!nic->tx_idle())
-            return false;
-    }
-    return true;
-}
-
 void
 Engine::idle_spin(Core &core, TimeNs until)
 {
@@ -844,7 +811,7 @@ Engine::idle_spin(Core &core, TimeNs until)
         static_cast<std::uint32_t>(core.dps.size());
     // Each iteration is one empty step_core pass: the dry rx() calls
     // it omits touch no simulated state, and the skip-to-CQE scan is a
-    // no-op by the can_idle_spin precondition.
+    // no-op while the core's queues hold no completion.
     while (core.clock < until) {
         ctx.on_compute(empty_cycles, 10);
         const TimeNs elapsed = ctx.elapsed_ns();
@@ -883,12 +850,12 @@ Engine::sleep_backoff(Core &core)
 }
 
 void
-Engine::drain_all_tx(TimeNs now, std::vector<std::vector<PendingTx>> *defer)
+Engine::drain_all_tx(TimeNs now, std::vector<std::vector<PendingTx>> &pending)
 {
     const bool tron = PMILL_TRACE_ON(tracer_.get());
     for (std::uint32_t n = 0; n < nics_.size(); ++n) {
         tx_scratch_.clear();
-        nics_[n]->drain_tx(now, tx_scratch_, /*defer_dma=*/defer != nullptr);
+        nics_[n]->drain_tx(now, tx_scratch_);
         if (tx_scratch_.empty())
             continue;
         // Per-drain counter flush: integer sums are order-independent,
@@ -904,10 +871,7 @@ Engine::drain_all_tx(TimeNs now, std::vector<std::vector<PendingTx>> *defer)
             // slot while the ticket still owns it.
             if (measuring_ && tx_capture_)
                 capture_tx(c);
-            if (defer)
-                (*defer)[c.queue].push_back(PendingTx{n, c});
-            else
-                queue_dp_[n][c.queue]->on_tx_complete(c);
+            pending[c.queue].push_back(PendingTx{n, c});
             if (PMILL_UNLIKELY(tron) && !inflight_.empty()) {
                 auto it = inflight_.find(arrival_key(c.arrival_ns));
                 if (it != inflight_.end()) {
@@ -1006,8 +970,8 @@ Engine::begin_measuring(TimeNs warm_end)
 RunResult
 Engine::run(const RunConfig &rc)
 {
-    PMILL_ASSERT(rc.host_threads <= cores_.size(),
-                 "host_threads %u exceeds the %zu simulated cores",
+    PMILL_ASSERT(rc.host_threads >= 1 && rc.host_threads <= cores_.size(),
+                 "host_threads %u outside [1, %zu simulated cores]",
                  rc.host_threads, cores_.size());
 
     offered_gbps_ =
@@ -1046,65 +1010,7 @@ Engine::run(const RunConfig &rc)
     if (controller_)
         controller_->on_run_start(*this);
 
-    // host_threads == 0 is the historical serial loop; >= 1 on a
-    // multicore engine selects the epoch scheduler (thread-count-
-    // invariant results). A single core has nothing to parallelize.
-    if (rc.host_threads >= 1 && cores_.size() > 1)
-        return run_epoch(rc);
-    return run_serial(rc);
-}
-
-RunResult
-Engine::run_serial(const RunConfig &rc)
-{
-    const TimeNs warm_end = rc.warmup_us * 1000.0;
-    const TimeNs end = warm_end + rc.duration_us * 1000.0;
-
-    while (true) {
-        std::uint32_t arrival_nic;
-        const TimeNs next_arrival = this->next_arrival(&arrival_nic);
-        TimeNs next_core = kInf;
-        std::uint32_t core_idx = 0;
-        for (std::uint32_t c = 0; c < cores_.size(); ++c) {
-            if (cores_[c]->clock < next_core) {
-                next_core = cores_[c]->clock;
-                core_idx = c;
-            }
-        }
-
-        const TimeNs t = std::min(next_arrival, next_core);
-        if (t >= end)
-            break;
-        if (!measuring_ && t >= warm_end)
-            begin_measuring(warm_end);
-
-        if (next_arrival <= next_core) {
-            const Arrival a = pace(arrival_nic);
-            nics_[arrival_nic]->deliver(gen_buf_.data(), a.len, a.done);
-        } else {
-            Core &core = *cores_[core_idx];
-            // Idle stretch: nothing can reach this core before the
-            // next generator arrival (capped at the measuring flip and
-            // run end so those trigger at their usual event times), so
-            // replay its empty polls without re-running the
-            // event-selection scans for each one.
-            TimeNs ff_until = std::min(next_arrival, end);
-            if (!measuring_)
-                ff_until = std::min(ff_until, warm_end);
-            if (ff_until > core.clock && can_idle_spin())
-                idle_spin(core, ff_until);
-            else
-                step_core(core);
-        }
-
-        drain_all_tx(t);
-        flush_steering();
-        sample(t, /*last=*/false);
-    }
-    drain_all_tx(end);
-    sample(end, /*last=*/true);
-
-    return finish_run(warm_end, end);
+    return run_epoch(rc);
 }
 
 void
@@ -1256,29 +1162,40 @@ Engine::run_epoch(const RunConfig &rc)
 
     // Per-core work queues, all filled by the conductor at edges and
     // drained by the owning core's worker inside the epoch: arrivals
-    // (RSS pre-routed; queue q == core q on every NIC, each with its
-    // own copy of the frame) and TX-completion effects (deferred DMA
-    // replays + buffer returns, in drain order, tagged with the
-    // completing device).
-    struct PendingArrival {
+    // (RSS pre-routed; queue q == core q on every NIC) and
+    // TX-completion effects (device reads + buffer returns, in drain
+    // order, tagged with the completing device). The epoch's frames
+    // sit back to back in one flat byte buffer that the generators
+    // write in place and the workers only read; each core keeps its
+    // arrivals in start order with their frame offsets. Both keep
+    // their capacity from epoch to epoch.
+    struct Staged {
         Arrival a;
-        std::vector<std::uint8_t> frame;
+        std::size_t off = 0;  ///< frame offset in frames
     };
-    std::vector<std::deque<PendingArrival>> arrivals(cores_.size());
+    struct CoreArrivals {
+        std::vector<Staged> staged;
+        std::size_t next = 0;  ///< first undelivered arrival
+    };
+    std::vector<std::uint8_t> frames;
+    std::size_t frames_used = 0;
+    std::vector<CoreArrivals> arrivals(cores_.size());
     std::vector<std::vector<PendingTx>> pending_tx(cores_.size());
 
-    // Pre-generate every arrival that starts before @p hi with the
-    // serial loop's pacer and generator order, so the frame/time
-    // sequence is the one the serial loop produces one event at a time.
+    // Stage every arrival that starts before @p hi, in pacer order
+    // (earliest start, ties to the lower NIC).
     auto pregen = [&](TimeNs hi) {
         for (;;) {
-            std::uint32_t n;
+            std::uint32_t n = 0;
             if (!(next_arrival(&n) < hi))
                 break;
-            PendingArrival pa{pace(n), {}};
-            pa.frame.assign(gen_buf_.data(), gen_buf_.data() + pa.a.len);
-            arrivals[nics_[n]->rss_queue(gen_buf_.data(), pa.a.len)]
-                .push_back(std::move(pa));
+            if (frames.size() < frames_used + kMaxFrameLen)
+                frames.resize(2 * (frames_used + kMaxFrameLen));
+            std::uint8_t *frame = frames.data() + frames_used;
+            const Arrival a = pace(n, frame);
+            arrivals[nics_[n]->rss_queue(frame, a.len)].staged.push_back(
+                {a, frames_used});
+            frames_used += a.len;
         }
     };
 
@@ -1291,49 +1208,46 @@ Engine::run_epoch(const RunConfig &rc)
         std::vector<PendingTx> &fx = pending_tx[ci];
         if (fx.empty())
             return;
-        CacheHierarchy &qc = *cores_[ci]->caches;
+        Core &core = *cores_[ci];
+        CacheHierarchy &qc = *core.caches;
         for (const PendingTx &p : fx) {
             const TxCompletion &c = p.c;
             qc.access(c.desc_addr, NicDevice::kDescBytes,
                       AccessType::kDevRead);
             // Parking: the buffer holds only the header prefix; the
-            // payload is gathered from the park arena (same split as
-            // NicDevice::drain_tx's immediate-DMA path, so every
-            // thread count sees the identical access sequence).
+            // payload is gathered from the park arena.
             qc.access(c.buf_addr, c.len - c.park_len, AccessType::kDevRead);
             if (c.park_len != 0)
                 qc.access(c.park_addr, c.park_len, AccessType::kParkRead);
-            queue_dp_[p.nic][c.queue]->on_tx_complete(c);
+            core.dps[p.nic].dp->on_tx_complete(c);
         }
         fx.clear();
     };
 
     // Advance core @p ci to (at least) @p t1. Touches only the core's
-    // own state, its queue's NIC shards, and its arrival deque — safe
-    // to run concurrently with other cores' segments.
+    // own state, its queue's NIC shards, and its staged arrivals —
+    // safe to run concurrently with other cores' segments.
     auto run_core_epoch = [&](std::uint32_t ci, TimeNs t1) {
         Core &core = *cores_[ci];
         apply_tx_effects(ci);
-        std::deque<PendingArrival> &aq = arrivals[ci];
+        CoreArrivals &ca = arrivals[ci];
         const bool tron = PMILL_TRACE_ON(tracer_.get());
         for (;;) {
             // Deliver every arrival the core has reached. Arrival
-            // wins ties with the poll at the same instant, matching
-            // the serial loop's `next_arrival <= next_core` order.
-            while (!aq.empty() && aq.front().a.start <= core.clock) {
-                const PendingArrival &pa = aq.front();
-                nics_[pa.a.nic]->deliver_sharded(ci, pa.frame.data(),
-                                                 pa.a.len, pa.a.done);
-                aq.pop_front();
+            // wins ties with the poll at the same instant.
+            while (ca.next < ca.staged.size() &&
+                   ca.staged[ca.next].a.start <= core.clock) {
+                const Staged &st = ca.staged[ca.next++];
+                nics_[st.a.nic]->deliver(ci, frames.data() + st.off,
+                                         st.a.len, st.a.done);
             }
             if (core.clock >= t1)
                 break;
             TimeNs until = t1;
-            if (!aq.empty())
-                until = std::min(until, aq.front().a.start);
+            if (ca.next < ca.staged.size())
+                until = std::min(until, ca.staged[ca.next].a.start);
             // Idle fast-forward (bit-identical spin replay) whenever
-            // this core's queues are dry; unlike the serial loop no
-            // global quiescence is needed — drains and sampling only
+            // this core's queues are dry: drains and sampling only
             // happen at edges, and other cores cannot reach this one
             // mid-epoch.
             if (!tron && next_cqe_time(core) == kInf)
@@ -1403,14 +1317,23 @@ Engine::run_epoch(const RunConfig &rc)
         const bool last = i + 1 == edges.size();
         // 1) Synthesize this epoch's arrivals (conductor; exact).
         pregen(t1);
-        // 2) Cores advance to t1 in parallel.
+        // 2) Cores advance to t1 in parallel. Every staged arrival
+        //    starts before t1 and a core leaves the epoch only once
+        //    its clock reaches t1, so every arrival was delivered.
         parallel_epoch(t1);
+        for (CoreArrivals &ca : arrivals) {
+            PMILL_ASSERT(ca.next == ca.staged.size(),
+                         "staged arrival left undelivered at an edge");
+            ca.staged.clear();
+            ca.next = 0;
+        }
+        frames_used = 0;
         // 3) Serial edge phase, fixed order: wire drain (pre-flip at
         //    the warm_end edge, so the measured window is departures
         //    in (warm_end, end] for every thread count), then the
         //    steering merge, then the measuring flip, then
         //    sampling + control.
-        drain_all_tx(t1, &pending_tx);
+        drain_all_tx(t1, pending_tx);
         flush_steering();
         if (!measuring_ && t1 >= warm_end)
             begin_measuring(warm_end);

@@ -91,17 +91,10 @@ struct RunConfig {
     /// @}
     /// @name Parallel host execution.
     /// @{
-    /// Host threads advancing simulated cores. 0 (the default) keeps
-    /// the historical serial event loop and its exact interleaving —
-    /// every legacy golden/pinned result is produced by that path.
-    /// Any value >= 1 on a multicore engine selects the epoch
-    /// scheduler instead, whose results are bit-identical for EVERY
-    /// thread count (1 included) but are a different — equally
-    /// deterministic — schedule than the serial loop (cross-core
-    /// interaction resolves at epoch edges; DESIGN.md section 9).
-    /// Must not exceed the simulated core count; single-core engines
-    /// always run the serial loop.
-    std::uint32_t host_threads = 0;
+    /// Host threads advancing simulated cores on the epoch scheduler
+    /// (DESIGN.md section 9), in [1, simulated core count]. Results
+    /// are bit-identical for every thread count.
+    std::uint32_t host_threads = 1;
     /// Epoch length (simulated us) for the epoch scheduler. Results
     /// do not depend on the host thread count for any epoch length;
     /// the length trades conductor overhead against how promptly TX
@@ -378,7 +371,8 @@ class Engine : public Actuator {
         std::unique_ptr<CacheHierarchy> caches;
         std::unique_ptr<ExecContext> ctx;
         std::unique_ptr<Pipeline> pipe;
-        /// NIC queues this core polls round-robin.
+        /// NIC queues this core polls round-robin, one per NIC in NIC
+        /// order (dps[n].nic == n).
         std::vector<BoundQueue> dps;
         TimeNs clock = 0;
         TimeNs last_elapsed = 0;
@@ -402,7 +396,7 @@ class Engine : public Actuator {
         std::vector<FlowSteer *> steer_elems;
     };
 
-    /** One paced wire arrival; its frame bytes are in gen_buf_. */
+    /** One paced wire arrival. */
     struct Arrival {
         TimeNs start = 0;  ///< generator emission time (event order key)
         TimeNs done = 0;   ///< wire completion (NicDevice::deliver's now)
@@ -410,7 +404,7 @@ class Engine : public Actuator {
         std::uint32_t nic = 0;  ///< ingress device
     };
 
-    /** A TX completion queued for its core (epoch scheduler). */
+    /** A TX completion queued for its owning core. */
     struct PendingTx {
         std::uint32_t nic = 0;
         TxCompletion c;
@@ -420,22 +414,13 @@ class Engine : public Actuator {
     void step_core(Core &core);
 
     /**
-     * True when the system is quiescent (every queue on every core dry
-     * with no pending CQE, no TX in flight, tracing off, sampler not
-     * live), so nothing can happen before the next generator arrival
-     * except empty polls, and the main loop may replay a core's spins
-     * in idle_spin() without changing any simulated state.
-     */
-    bool can_idle_spin() const;
-
-    /**
      * Replay @p core 's empty polls until its clock reaches @p until.
      * Performs exactly the per-poll state updates of step_core on a
      * dry queue — the same on_compute accumulation in the same order,
      * the same clock arithmetic, the same round-robin advance — so the
      * core's counters and clock are bit-identical to having spun
-     * through the main loop; it just skips the event-selection scans
-     * and no-op drains around each spin.
+     * through step_core; it just skips the dry rx() calls. Only valid
+     * while the core's queues hold no completion.
      */
     void idle_spin(Core &core, TimeNs until);
 
@@ -451,7 +436,7 @@ class Engine : public Actuator {
     /** Register the engine-level aggregate metrics (ctor helper). */
     void register_telemetry();
 
-    /// @name Traffic generation and TX completion (both schedulers).
+    /// @name Traffic generation and TX completion.
     /// @{
     /**
      * Emission time of the next arrival over all generators (ties go
@@ -462,24 +447,24 @@ class Engine : public Actuator {
 
     /**
      * The pacing step of NIC @p nic 's generator: pull its next frame
-     * into gen_buf_, compute the frame's wire done-time, and advance
+     * into @p frame (room for kMaxFrameLen bytes), compute the frame's
+     * wire done-time, and advance
      * next_start_ by the frame's share of the offered rate (the
      * post-step rate once the load step has passed) times the
      * source's gap scale. Pacing never depends on delivery outcomes,
      * so the epoch scheduler may run it ahead of the cores.
      */
-    Arrival pace(std::uint32_t nic);
+    Arrival pace(std::uint32_t nic, std::uint8_t *frame);
 
     /**
      * Drain every NIC's wire up to @p now (NIC index order, drain
      * order within a NIC) and fold each completion: the TX capture
-     * (before the park ticket is released), the completion itself,
-     * the tracer join and the TX telemetry. With @p defer null each
-     * completion is applied now (on_tx_complete); otherwise its DMA
-     * is deferred and it is queued on (*defer)[queue] for its core.
+     * (before the park ticket is released), the tracer join and the
+     * TX telemetry. The completion's device reads and buffer return
+     * are queued on @p pending[queue] for the owning core to replay.
      */
     void drain_all_tx(TimeNs now,
-                      std::vector<std::vector<PendingTx>> *defer = nullptr);
+                      std::vector<std::vector<PendingTx>> &pending);
     /// @}
 
     /**
@@ -490,11 +475,8 @@ class Engine : public Actuator {
      */
     void flush_steering();
 
-    /// @name run() backends (dispatch on RunConfig::host_threads).
+    /// @name run() body.
     /// @{
-    /** The historical serial event loop (bit-exact legacy results). */
-    RunResult run_serial(const RunConfig &rc);
-
     /**
      * Epoch scheduler: cores advance in parallel inside bounded time
      * epochs; all cross-core/shared-structure work happens serially at
@@ -530,9 +512,6 @@ class Engine : public Actuator {
     std::vector<std::unique_ptr<FrameSource>> sources_;
     /// Generator emission time of each NIC's next frame.
     std::vector<TimeNs> next_start_;
-    /// Scratch buffer pace() pulls a frame into before the NIC copies
-    /// it into its simulated mempool.
-    std::array<std::uint8_t, kMaxFrameLen> gen_buf_{};
     double offered_gbps_ = 100.0;
     /// @name Load step (set per run; gated on load_step_gbps_ > 0).
     /// @{
@@ -548,8 +527,6 @@ class Engine : public Actuator {
     std::unique_ptr<SteerFabric> steer_;
     std::vector<std::unique_ptr<NicDevice>> nics_;
     std::vector<std::unique_ptr<Core>> cores_;
-    /// Map (nic, queue) -> datapath for TX-completion routing.
-    std::vector<std::vector<Datapath *>> queue_dp_;
 
     std::unique_ptr<Histogram> latency_;
     std::function<void(const std::uint8_t *, std::uint32_t)> tx_capture_;

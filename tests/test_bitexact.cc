@@ -41,7 +41,7 @@ struct Expected {
 
 RunResult
 run_fixed(const PipelineOpts &opts, std::uint32_t cores,
-          std::uint32_t host_threads = 0)
+          std::uint32_t host_threads)
 {
     Trace t = make_fixed_size_trace(512, 2048, 512);
     MachineConfig m;
@@ -74,37 +74,26 @@ expect_bitexact(const RunResult &r, const Expected &e)
 
 TEST(BitExact, VanillaRouterSingleCore)
 {
-    expect_bitexact(run_fixed(PipelineOpts::vanilla(), 1),
-                    {13328, 12093, 12093, 321507, 280223, 22173,
-                     311.22106793283046, 349.9407958984375,
-                     313.51653954234865, 28.575232, 1.786854890580202});
+    expect_bitexact(run_fixed(PipelineOpts::vanilla(), 1, 1),
+                    {13312, 12064, 12064, 320736, 279553, 21585,
+                     311.94132024591619, 351.31652832031244,
+                     314.42253931410278, 28.540928000000001,
+                     1.7825943553094776});
 }
 
 TEST(BitExact, PacketMillRouterSingleCore)
 {
-    expect_bitexact(run_fixed(PipelineOpts::packetmill(), 1),
-                    {26107, 0, 0, 448250, 365121, 14466,
-                     158.86445757282681, 159.20198367192197,
-                     156.30595738317936, 55.973407999999999,
-                     2.512788648007898});
+    expect_bitexact(run_fixed(PipelineOpts::packetmill(), 1, 1),
+                    {26106, 0, 0, 448250, 365120, 14466,
+                     158.85726804655741, 159.19633653428818,
+                     156.30084762592102, 55.971263999999998,
+                     2.5129303399807994});
 }
 
-TEST(BitExact, VanillaRouterRss4Cores)
-{
-    expect_bitexact(run_fixed(PipelineOpts::vanilla(), 4),
-                    {32653, 32654, 32651, 949230, 685669, 22566,
-                     0.3187740550321691, 0.94264388084411632,
-                     0.38352194501813625, 70.008032,
-                     1.3671849302973575});
-}
-
-// The epoch scheduler (host_threads >= 1 on multicore) is its OWN
-// deterministic schedule — cross-core interaction resolves at epoch
-// edges, so the constants legitimately differ from the serial-loop
-// run above — and it must reproduce these values for every thread
-// count (test_parallel.cc pins 1 == N; this pins the values
-// themselves so a schedule change cannot hide behind thread
-// invariance).
+// Cross-core interaction resolves at epoch edges, and the multicore
+// run must reproduce these values for every thread count
+// (test_parallel.cc pins 1 == N; this pins the values themselves so a
+// schedule change cannot hide behind thread invariance).
 TEST(BitExact, EpochSchedulerRouterRss4Cores)
 {
     const Expected e = {32652, 32652, 32651, 949380, 685669, 22440,

@@ -112,7 +112,7 @@ TEST_F(DriverFixture, RxBurstConvertsCqeToMbuf)
 {
     pmd.setup_rx(nullptr);
     auto f = frame(256);
-    ASSERT_TRUE(nic.deliver(f.data(), 256, 10.0));
+    ASSERT_TRUE(nic.deliver(0, f.data(), 256, 10.0));
 
     MbufRef out[32];
     const std::uint32_t n = pmd.rx_burst(1e6, out, 32, nullptr);
@@ -130,7 +130,7 @@ TEST_F(DriverFixture, RxBurstRespectsCompletionTime)
 {
     pmd.setup_rx(nullptr);
     auto f = frame();
-    ASSERT_TRUE(nic.deliver(f.data(), 128, 1000.0));
+    ASSERT_TRUE(nic.deliver(0, f.data(), 128, 1000.0));
     MbufRef out[32];
     // Poll before the DMA completes: nothing.
     EXPECT_EQ(pmd.rx_burst(1.0, out, 32, nullptr), 0u);
@@ -142,7 +142,7 @@ TEST_F(DriverFixture, RingReplenishedAfterRx)
     pmd.setup_rx(nullptr);
     const std::size_t before = nic.rx_free_descs(0);
     auto f = frame();
-    nic.deliver(f.data(), 128, 1.0);
+    nic.deliver(0, f.data(), 128, 1.0);
     MbufRef out[32];
     pmd.rx_burst(1e9, out, 32, nullptr);
     EXPECT_EQ(nic.rx_free_descs(0), before)
@@ -154,7 +154,7 @@ TEST_F(DriverFixture, TxRoundTripFreesBuffers)
     pmd.setup_rx(nullptr);
     const std::size_t free_before = pool.free_count();
     auto f = frame(200);
-    nic.deliver(f.data(), 200, 1.0);
+    nic.deliver(0, f.data(), 200, 1.0);
     MbufRef out[32];
     ASSERT_EQ(pmd.rx_burst(1e9, out, 32, nullptr), 1u);
     ASSERT_EQ(pmd.tx_burst(out, 1, 2000.0, nullptr), 1u);
@@ -175,7 +175,7 @@ TEST_F(DriverFixture, DropWhenNoDescriptors)
 {
     // No setup_rx: the RX ring is empty.
     auto f = frame();
-    EXPECT_FALSE(nic.deliver(f.data(), 128, 1.0));
+    EXPECT_FALSE(nic.deliver(0, f.data(), 128, 1.0));
     EXPECT_EQ(nic.stats().rx_drops_no_desc, 1u);
 }
 
@@ -287,7 +287,7 @@ TEST(PmdXchg, ExchangesBuffersWithoutAPool)
     FrameSpec spec;
     spec.frame_len = 300;
     auto f = build_frame(spec);
-    ASSERT_TRUE(nic.deliver(f.data(), 300, 5.0));
+    ASSERT_TRUE(nic.deliver(0, f.data(), 300, 5.0));
 
     void *pkts[32];
     ASSERT_EQ(pmd.rx_burst(1e9, pkts, 32, nullptr), 1u);
@@ -496,6 +496,41 @@ TEST(RssIndirection, ReprogramRedirectsBucketAndCountsLoads)
     EXPECT_EQ(nic.rss_entry_load(bucket), 0u);
 }
 
+// Each RX queue owns its PCIe pipe: frames delivered at the same
+// instant to different queues complete together, while frames on one
+// queue complete one PCIe transfer apart.
+TEST(NicDevice, RxPciePipeIsPerQueue)
+{
+    SimMemory mem;
+    CacheHierarchy caches;
+    NicConfig nc;
+    nc.num_queues = 2;
+    NicDevice nic(nc, caches, mem);
+    MemHandle bufs = mem.alloc(4 * 2048, 64, Region::kPacketData);
+    for (std::uint32_t i = 0; i < 4; ++i)
+        ASSERT_TRUE(nic.replenish(
+            i % 2, RxDescriptor{bufs.addr + i * 2048ull,
+                                bufs.host + i * 2048ull}));
+
+    const std::uint32_t len = 1000;
+    FrameSpec spec;
+    spec.frame_len = len;
+    const auto f = build_frame(spec);
+    const TimeNs now = 100.0;
+    ASSERT_TRUE(nic.deliver(0, f.data(), len, now));
+    ASSERT_TRUE(nic.deliver(1, f.data(), len, now));
+    ASSERT_TRUE(nic.deliver(1, f.data(), len, now));
+
+    Cqe q0[2], q1[2];
+    ASSERT_EQ(nic.rx_poll(0, 1e9, q0, 2), 1u);
+    ASSERT_EQ(nic.rx_poll(1, 1e9, q1, 2), 2u);
+    const double pcie_ns = (len + nc.pcie_pkt_overhead_bytes) /
+                           nc.pcie_bytes_per_sec * 1e9;
+    EXPECT_EQ(q0[0].arrival_ns, q1[0].arrival_ns);
+    EXPECT_NEAR(q0[0].arrival_ns, now + pcie_ns, 1e-6);
+    EXPECT_NEAR(q1[1].arrival_ns - q1[0].arrival_ns, pcie_ns, 1e-6);
+}
+
 // The per-metric rate helpers read one cached summed snapshot instead
 // of re-summing the per-queue shards on every call; the cache must be
 // indistinguishable from a fresh stats() sum at any serial point.
@@ -513,8 +548,8 @@ TEST(NicDevice, StatsSnapshotMatchesFreshSum)
         FrameSpec spec;
         spec.flow.src_port = static_cast<std::uint16_t>(5000 + i);
         const auto f = build_frame(spec);
-        nic.deliver(f.data(), static_cast<std::uint32_t>(f.size()),
-                    1000.0 * i);
+        const auto len = static_cast<std::uint32_t>(f.size());
+        nic.deliver(nic.rss_queue(f.data(), len), f.data(), len, 1000.0 * i);
     }
 
     const NicStats fresh = nic.stats();

@@ -2,11 +2,11 @@
  * @file
  * Determinism gate for the epoch scheduler (parallel host execution).
  *
- * The contract under test: with RunConfig::host_threads >= 1 on a
- * multicore engine, the simulated results are bit-identical for EVERY
- * host thread count — 1 worker and N workers produce the same frames,
- * the same cache/TLB counters, the same latency percentiles, the same
- * timeline rows, and the same cycle-accounting ledgers. As in
+ * The contract under test: on a multicore engine the simulated
+ * results are bit-identical for EVERY host thread count — 1 worker
+ * and N workers produce the same frames, the same cache/TLB counters,
+ * the same latency percentiles, the same timeline rows, and the same
+ * cycle-accounting ledgers. As in
  * test_bitexact.cc the floating-point comparisons use EXPECT_EQ
  * deliberately: the schedule is deterministic IEEE arithmetic in a
  * fixed order, so any deviation is a semantic race, not noise.
@@ -270,9 +270,8 @@ TEST(EpochEdge, TracingSerializesButStaysDeterministic)
 
 // The generalized topology grid: every core polls its queue on EVERY
 // NIC, and the epoch pregenerator merges the per-NIC arrival streams
-// by emission time (lowest NIC index on ties, matching the serial
-// loop's event scan). Multi-NIC multicore runs must be thread-
-// invariant like the single-NIC ones.
+// by emission time (lowest NIC index on ties). Multi-NIC multicore
+// runs must be thread-invariant like the single-NIC ones.
 TEST(Parallel, MultiNicGridThreadInvariant)
 {
     auto run_one = [](std::uint32_t threads) {
@@ -370,27 +369,8 @@ TEST(Steering, ParkingSteeredThreadInvariant)
                                "drop-path ticket release";
 }
 
-// A single-core engine always runs the serial loop: host_threads = 1
-// must reproduce the host_threads = 0 legacy results exactly.
-TEST(Parallel, SingleCoreFallsBackToSerialLoop)
-{
-    auto run_one = [](std::uint32_t threads) {
-        MachineConfig m;
-        Engine engine(m, router_config(), opts_packetmill(),
-                      default_campus_trace());
-        RunConfig rc;
-        rc.offered_gbps = 70.0;
-        rc.warmup_us = 200.0;
-        rc.duration_us = 400.0;
-        rc.host_threads = threads;
-        return snapshot(engine, rc);
-    };
-    const Snap serial = run_one(0);
-    const Snap one = run_one(1);
-    EXPECT_GT(serial.r.tx_pkts, 0u);
-    expect_bitexact(serial, one);
-}
-
+// host_threads must lie in [1, cores]. Every run takes the epoch
+// scheduler, so 0 is invalid too, not a request for another schedule.
 TEST(ParallelValidation, MoreThreadsThanCoresDies)
 {
     MachineConfig m;
@@ -400,8 +380,10 @@ TEST(ParallelValidation, MoreThreadsThanCoresDies)
     RunConfig rc;
     rc.warmup_us = 10.0;
     rc.duration_us = 10.0;
-    rc.host_threads = 3;
-    EXPECT_DEATH(engine.run(rc), "host_threads");
+    for (std::uint32_t threads : {3u, 0u}) {
+        rc.host_threads = threads;
+        EXPECT_DEATH(engine.run(rc), "host_threads") << threads;
+    }
 }
 
 } // namespace
