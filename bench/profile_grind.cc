@@ -16,7 +16,9 @@
  * excess time went before and after: the win comes from the
  * classifier matching its ~99.5%-IP traffic on the first pattern and
  * the route table's hot rule short-circuiting to a register compare,
- * which shifts tail attribution off the previously dominant element.
+ * which shortens the RX-queue wait that holds the p99+ excess.
+ * The "Dominant tail element" column reads "-" when no element holds
+ * 1 % of that excess.
  */
 
 #include <cstdio>
@@ -112,8 +114,8 @@ main()
     add("default", base);
     add("profile-guided", guided);
     rep.note("The guided grind must not regress throughput and must "
-             "lower p99; the dominant tail element shifts off the "
-             "baseline's hottest stage.");
+             "lower p99; \"-\" = no element holds 1% of the p99+ "
+             "excess (it is all queue/wire).");
     rep.emit();
 
     std::printf("\n%s", plan.to_string().c_str());

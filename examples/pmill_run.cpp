@@ -81,7 +81,7 @@ main(int argc, char **argv)
     double sample_us = 100.0;
     std::uint32_t cores = 1, nics = 1, fixed_size = 0;
     std::uint32_t host_threads = 1;
-    std::uint32_t sockets = 1, rss_table = 0, queue_weight = 1;
+    std::uint32_t sockets = 1, queue_weight = 1;
     std::uint32_t park_split = 0;  // 0 = not given (model default 96)
     bool do_verify = false, do_report = false, do_json = false;
     bool do_explain = false;
@@ -118,10 +118,6 @@ main(int argc, char **argv)
          U32{&nics, 1, 8}},
         {"--sockets", "N", "NUMA sockets (default 1, at most --cores)",
          U32{&sockets, 1, 8}},
-        {"--rss-table", "N",
-         "RSS indirection table buckets, a power of two >= 2 "
-         "(default 0: the legacy hash % queues spread)",
-         U32{&rss_table, 0, 65536}},
         {"--queue-weight", "W", "round-robin weight of every queue (default 1)",
          U32{&queue_weight, 1, 64}},
         {"--size", "BYTES", "fixed-size traffic instead of the campus trace",
@@ -181,10 +177,6 @@ main(int argc, char **argv)
         return reject("--host-threads %u exceeds --cores %u (a worker with "
                       "no simulated core to drive would idle forever)",
                       host_threads, cores);
-    if (rss_table == 1 || (rss_table & (rss_table - 1)) != 0)
-        return reject("--rss-table expects a power-of-two bucket count in "
-                      "[2, 65536] (0 = legacy modulo), got '%u'",
-                      rss_table);
     // The --opt preset is applied first and --model overrides its
     // model afterwards, whatever order the flags came in.
     PipelineOpts opts = kOptLevels.at(opt_level)();
@@ -240,7 +232,6 @@ main(int argc, char **argv)
     machine.num_cores = cores;
     machine.num_nics = nics;
     machine.num_sockets = sockets;
-    machine.nic.rss_table_size = rss_table;
 
     // Profile-guided grind: load the capture artifact and fold the
     // plan's build-time decisions (burst, model, state placement) into

@@ -41,6 +41,15 @@ struct FiveTuple {
  */
 std::uint32_t rss_hash(const FiveTuple &t);
 
+/**
+ * Bucket count of every RSS indirection table (RETA): the NIC's and
+ * the software steering fabric's. A frame's bucket is
+ * `rss_hash & (kRssTableSize - 1)`; both tables start round-robin
+ * (bucket i -> queue/core i % N), so an unprogrammed fabric agrees
+ * with the NIC at every core count.
+ */
+inline constexpr std::uint32_t kRssTableSize = 256;
+
 /** Hash a raw 64-bit value (finalizer used by tables as well). */
 std::uint64_t mix64(std::uint64_t x);
 

@@ -17,11 +17,10 @@ SteerFabric::SteerFabric(std::uint32_t num_cores, std::uint32_t table_size,
                  "ring_sockets must cover every core");
     mask_ = table_size - 1;
 
-    // Round-robin initial spread: bucket i -> core i % N. For
-    // power-of-two core counts this reproduces the NIC's legacy
-    // `hash % cores` mapping exactly (hash & (table_size-1) preserves
-    // hash mod cores when cores divides table_size), so an idle
-    // fabric steers nothing until the controller desynchronizes it.
+    // Round-robin initial spread: bucket i -> core i % N, the NIC
+    // RETA's initial program. At the NIC's table size (kRssTableSize)
+    // an idle fabric steers nothing until the controller
+    // desynchronizes it.
     table_.resize(table_size);
     for (std::uint32_t i = 0; i < table_size; ++i)
         table_[i] = i % num_cores;

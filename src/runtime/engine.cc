@@ -19,6 +19,9 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Per-(src,dst) handoff staging bound of the steering fabric.
+constexpr std::uint32_t kSteerRingCapacity = 512;
+
 ExecCounters
 counters_delta(const ExecCounters &a, const ExecCounters &b)
 {
@@ -236,16 +239,17 @@ Engine::init(const std::string &config_text)
             cores_[c]->caches->set_numa_probe(&numa_home_socket,
                                               mem_.get(), core_socket(c));
 
-    // Flow-steering fabric, only when the config steers: shared
-    // table + per-destination handoff rings (each ring homed on its
-    // destination core's socket).
+    // Flow-steering fabric, only when the config steers: a table
+    // shaped and programmed like the NIC RETA, so it steers nothing
+    // until reprogrammed, plus per-destination handoff rings (each
+    // ring homed on its destination core's socket).
     if (!cores_[0]->steer_elems.empty()) {
         std::vector<std::uint32_t> ring_sockets(machine.num_cores);
         for (std::uint32_t c = 0; c < machine.num_cores; ++c)
             ring_sockets[c] = core_socket(c);
         steer_ = std::make_unique<SteerFabric>(
-            machine.num_cores, machine.steer_table_size,
-            machine.steer_ring_capacity, *mem_, &ring_sockets);
+            machine.num_cores, kRssTableSize, kSteerRingCapacity, *mem_,
+            &ring_sockets);
         for (std::uint32_t c = 0; c < machine.num_cores; ++c)
             for (FlowSteer *fs : cores_[c]->steer_elems)
                 fs->bind(steer_.get(), c);
@@ -556,19 +560,13 @@ Engine::set_queue_weight(std::uint32_t core, std::uint32_t q,
 std::uint32_t
 Engine::rss_table_size() const
 {
-    if (nics_[0]->rss_indirection_enabled())
-        return nics_[0]->rss_table_size();
-    return steer_ ? steer_->table_size() : 0;
+    return kRssTableSize;
 }
 
 std::uint32_t
 Engine::rss_table_entry(std::uint32_t idx) const
 {
-    if (nics_[0]->rss_indirection_enabled())
-        return nics_[0]->rss_table_entry(idx);
-    PMILL_ASSERT(steer_ != nullptr,
-                 "no indirection table (rss_table_size() is 0)");
-    return steer_->entry(idx);
+    return steer_ ? steer_->entry(idx) : nics_[0]->rss_table_entry(idx);
 }
 
 void
@@ -578,43 +576,37 @@ Engine::set_rss_table_entry(std::uint32_t idx, std::uint32_t queue)
                  "indirection target %u out of range (engine has %zu "
                  "cores)",
                  queue, cores_.size());
-    if (nics_[0]->rss_indirection_enabled()) {
-        // The devices run one shared table program: every NIC's
-        // bucket idx moves together, keeping queue q == core q
-        // consistent across the grid.
-        for (auto &nic : nics_)
-            nic->set_rss_table_entry(idx, queue);
+    if (steer_) {
+        steer_->set_entry(idx, queue);
         return;
     }
-    PMILL_ASSERT(steer_ != nullptr,
-                 "no indirection table (rss_table_size() is 0)");
-    steer_->set_entry(idx, queue);
+    // The devices run one shared table program: every NIC's bucket idx
+    // moves together, keeping queue q == core q consistent across the
+    // grid.
+    for (auto &nic : nics_)
+        nic->set_rss_table_entry(idx, queue);
 }
 
 std::uint64_t
 Engine::rss_entry_load(std::uint32_t idx) const
 {
-    if (nics_[0]->rss_indirection_enabled()) {
-        std::uint64_t sum = 0;
-        for (const auto &nic : nics_)
-            sum += nic->rss_entry_load(idx);
-        return sum;
-    }
-    PMILL_ASSERT(steer_ != nullptr,
-                 "no indirection table (rss_table_size() is 0)");
-    return steer_->entry_load(idx);
+    if (steer_)
+        return steer_->entry_load(idx);
+    std::uint64_t sum = 0;
+    for (const auto &nic : nics_)
+        sum += nic->rss_entry_load(idx);
+    return sum;
 }
 
 void
 Engine::reset_rss_entry_loads()
 {
-    if (nics_[0]->rss_indirection_enabled()) {
-        for (auto &nic : nics_)
-            nic->reset_rss_entry_loads();
+    if (steer_) {
+        steer_->reset_entry_loads();
         return;
     }
-    if (steer_)
-        steer_->reset_entry_loads();
+    for (auto &nic : nics_)
+        nic->reset_rss_entry_loads();
 }
 
 void

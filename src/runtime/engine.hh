@@ -57,15 +57,6 @@ struct MachineConfig {
      * machine every legacy result was produced on.
      */
     std::uint32_t num_sockets = 1;
-    /**
-     * Software flow-steering fabric geometry, used only when the
-     * pipeline contains a FlowSteer element (no element, no fabric —
-     * legacy configurations are unaffected). Power-of-two bucket
-     * count of the shared steering table and per-(src,dst) handoff
-     * staging bound.
-     */
-    std::uint32_t steer_table_size = 256;
-    std::uint32_t steer_ring_capacity = 512;
 };
 
 /** Parameters of one measurement run. */
@@ -223,13 +214,11 @@ class Engine : public Actuator {
 
     /**
      * @name RSS/steering table actuation.
-     * Routed to the NIC indirection tables when
-     * NicConfig::rss_table_size is nonzero (a write reprograms the
-     * same entry on every NIC, reads come from NIC 0 — the NICs run
-     * one shared table program, like a bonded port), otherwise to the
-     * software steering fabric when the pipeline carries a FlowSteer
-     * element. Without either, rss_table_size() is 0 and the rest of
-     * the group must not be called.
+     * Routed to the software steering fabric when the pipeline carries
+     * a FlowSteer element, otherwise to the NIC indirection tables (a
+     * write reprograms the same entry on every NIC, reads come from
+     * NIC 0 — the NICs run one shared table program, like a bonded
+     * port). Both tables have kRssTableSize buckets.
      * @{
      */
     std::uint32_t rss_table_size() const override;

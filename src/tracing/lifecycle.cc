@@ -147,13 +147,18 @@ attribute_tail(const Tracer &tracer, double threshold_us)
                          return a.excess_us > b.excess_us;
                      });
 
+    att.dominant_stage = att.rows.front().stage;
+    // The element with the largest excess is named only when it holds
+    // at least 1 % of the tail excess. Below that its excess is
+    // rounding noise (on the router, under 0.001 us per packet against
+    // several us of queue/wire) and the name would flip with any
+    // schedule change.
     for (const TailAttribution::Row &row : att.rows) {
-        if (att.dominant_stage.empty())
-            att.dominant_stage = row.stage;
-        if (att.dominant_element.empty() && row.stage != "queue/wire")
+        if (row.stage == "queue/wire")
+            continue;
+        if (row.share_pct >= 1.0)
             att.dominant_element = row.stage;
-        if (!att.dominant_stage.empty() && !att.dominant_element.empty())
-            break;
+        break;
     }
     return att;
 }

@@ -77,7 +77,9 @@ struct TailAttribution {
     std::vector<Row> rows;  ///< sorted by excess, descending
 
     std::string dominant_stage;    ///< largest excess overall
-    std::string dominant_element;  ///< largest excess among elements
+    /// Largest excess among elements; empty when that element holds
+    /// under 1 % of the positive excess (noise, not a cause).
+    std::string dominant_element;
 
     /** Human table (common/table_printer format). */
     std::string to_string() const;

@@ -405,18 +405,17 @@ TEST(NicDevice, RssSpreadsFlowsAcrossQueues)
     EXPECT_EQ(queues.size(), 4u) << "64 flows should hit all 4 queues";
 }
 
-// The legacy (indirection-disabled) RSS mapping is pinned to exactly
-// rss_hash(tuple) % num_queues. Non-power-of-two queue counts bias
-// the low queues and any queue-count change remaps every flow — that
-// behaviour is what the indirection table fixes when opted into, so
-// the default must never drift (every pre-indirection golden depends
-// on it).
+// The RSS mapping is pinned to the round-robin RETA program: bucket
+// rss_hash(tuple) & (kRssTableSize-1) goes to queue bucket % queues.
+// On a queue count that does not divide the table every queue still
+// owns an even share of the buckets (+-1), unlike a direct
+// hash % queues, which biases the low queues.
 TEST(RssMapping, LegacyModuloPinned)
 {
     SimMemory mem;
     CacheHierarchy caches;
     NicConfig nc;
-    nc.num_queues = 3;  // the biased, non-power-of-two case
+    nc.num_queues = 3;  // does not divide kRssTableSize
     NicDevice nic(nc, caches, mem);
 
     for (int i = 0; i < 64; ++i) {
@@ -425,8 +424,17 @@ TEST(RssMapping, LegacyModuloPinned)
         const auto f = build_frame(spec);
         const std::uint32_t len = static_cast<std::uint32_t>(f.size());
         const FiveTuple t = extract_tuple(f.data(), len);
-        EXPECT_EQ(nic.rss_queue(f.data(), len), rss_hash(t) % 3)
+        EXPECT_EQ(nic.rss_queue(f.data(), len),
+                  (rss_hash(t) & (kRssTableSize - 1)) % 3)
             << "flow " << i;
+    }
+
+    std::uint32_t owned[3] = {0, 0, 0};
+    for (std::uint32_t b = 0; b < kRssTableSize; ++b)
+        ++owned[nic.rss_table_entry(b)];
+    for (std::uint32_t q = 0; q < 3; ++q) {
+        EXPECT_GE(owned[q], 85u) << "queue " << q;
+        EXPECT_LE(owned[q], 86u) << "queue " << q;
     }
 
     // Single queue short-circuits without hashing.
@@ -437,35 +445,8 @@ TEST(RssMapping, LegacyModuloPinned)
     EXPECT_EQ(nic1.rss_queue(f.data(),
                              static_cast<std::uint32_t>(f.size())),
               0u);
-}
-
-// The indirection table initializes round-robin (bucket i -> queue
-// i % num_queues), which for a power-of-two queue count dividing the
-// table size is EXACTLY the legacy modulo mapping — enabling the
-// table without reprogramming it must not move a single flow.
-TEST(RssIndirection, DefaultTableMatchesLegacyModulo)
-{
-    SimMemory mem;
-    CacheHierarchy caches;
-    NicConfig legacy;
-    legacy.num_queues = 4;
-    NicDevice nic_legacy(legacy, caches, mem);
-
-    NicConfig indirect = legacy;
-    indirect.rss_table_size = 128;
-    NicDevice nic_table(indirect, caches, mem);
-    ASSERT_TRUE(nic_table.rss_indirection_enabled());
-    ASSERT_EQ(nic_table.rss_table_size(), 128u);
-
-    for (int i = 0; i < 128; ++i) {
-        FrameSpec spec;
-        spec.flow.src_port = static_cast<std::uint16_t>(3000 + i);
-        const auto f = build_frame(spec);
-        const std::uint32_t len = static_cast<std::uint32_t>(f.size());
-        EXPECT_EQ(nic_table.rss_queue(f.data(), len),
-                  nic_legacy.rss_queue(f.data(), len))
-            << "flow " << i;
-    }
+    for (std::uint32_t b = 0; b < kRssTableSize; ++b)
+        EXPECT_EQ(nic1.rss_entry_load(b), 0u) << "bucket " << b;
 }
 
 TEST(RssIndirection, ReprogramRedirectsBucketAndCountsLoads)
@@ -474,7 +455,6 @@ TEST(RssIndirection, ReprogramRedirectsBucketAndCountsLoads)
     CacheHierarchy caches;
     NicConfig nc;
     nc.num_queues = 4;
-    nc.rss_table_size = 64;
     NicDevice nic(nc, caches, mem);
 
     FrameSpec spec;
@@ -482,7 +462,7 @@ TEST(RssIndirection, ReprogramRedirectsBucketAndCountsLoads)
     const auto f = build_frame(spec);
     const std::uint32_t len = static_cast<std::uint32_t>(f.size());
     const std::uint32_t hash = rss_hash(extract_tuple(f.data(), len));
-    const std::uint32_t bucket = hash & 63u;
+    const std::uint32_t bucket = hash & (kRssTableSize - 1);
 
     EXPECT_EQ(nic.rss_queue(f.data(), len), nic.rss_table_entry(bucket));
     EXPECT_EQ(nic.rss_entry_load(bucket), 1u);

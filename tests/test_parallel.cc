@@ -315,8 +315,8 @@ run_parking_flows(std::uint32_t threads, const std::string &config,
     Engine engine(m, config, opts_model(MetadataModel::kParking), spec);
     PacketMill::grind(engine);
     if (reprogram) {
-        // Desynchronize the steering fabric from the NIC's modulo
-        // mapping so roughly half the buckets hand off.
+        // Desynchronize the steering fabric from the NIC's RETA so
+        // roughly half the buckets hand off.
         const std::uint32_t tsize = engine.rss_table_size();
         EXPECT_GT(tsize, 0u);
         for (std::uint32_t i = 0; i < tsize; i += 2)

@@ -93,8 +93,7 @@ TEST(SteerFabric, DefaultTableIsModuloForPow2Cores)
     ASSERT_EQ(fab.table_size(), 8u);
     for (std::uint32_t i = 0; i < 8; ++i)
         EXPECT_EQ(fab.entry(i), i % 4);
-    // Core count divides table size, so target_of == hash % cores:
-    // an unprogrammed fabric agrees with the NIC's legacy mapping.
+    // Core count divides table size, so target_of == hash % cores.
     for (std::uint32_t h : {0u, 1u, 7u, 8u, 13u, 0xdeadbeefu, 0xffffffffu})
         EXPECT_EQ(fab.target_of(h), h % 4);
 }
@@ -174,27 +173,30 @@ TEST(SteerFabric, EntryLoadShardsSumAndReset)
 /// @name Engine-level steering tests.
 /// @{
 
-// With a power-of-two core count the unprogrammed fabric agrees with
-// the NIC's legacy modulo RSS, so FlowSteer passes every packet
-// through: the element is live (it consults the table) but no frame
-// crosses cores.
+// The unprogrammed fabric and the NIC share one RETA program, so
+// FlowSteer passes every packet through at any core count, including
+// one that does not divide the table: the element is live (it
+// consults the table) but no frame crosses cores.
 TEST(Steering, UnprogrammedFabricSteersNothing)
 {
-    MachineConfig m;
-    m.num_cores = 4;
-    Engine engine(m, steered_router_config(), opts_packetmill(),
-                  default_campus_trace());
-    ASSERT_NE(engine.steering(), nullptr);
-    RunConfig rc;
-    rc.offered_gbps = 40.0;
-    rc.warmup_us = 100.0;
-    rc.duration_us = 300.0;
-    rc.host_threads = 1;
-    const RunResult r = engine.run(rc);
-    EXPECT_GT(r.tx_pkts, 0u);
-    const SteerStats s = engine.steering()->stats();
-    EXPECT_EQ(s.steered, 0u);
-    EXPECT_GT(s.passed, 0u);
+    for (const std::uint32_t cores : {4u, 6u}) {
+        SCOPED_TRACE(testing::Message() << cores << " cores");
+        MachineConfig m;
+        m.num_cores = cores;
+        Engine engine(m, steered_router_config(), opts_packetmill(),
+                      default_campus_trace());
+        ASSERT_NE(engine.steering(), nullptr);
+        RunConfig rc;
+        rc.offered_gbps = 40.0;
+        rc.warmup_us = 100.0;
+        rc.duration_us = 300.0;
+        rc.host_threads = 1;
+        const RunResult r = engine.run(rc);
+        EXPECT_GT(r.tx_pkts, 0u);
+        const SteerStats s = engine.steering()->stats();
+        EXPECT_EQ(s.steered, 0u);
+        EXPECT_GT(s.passed, 0u);
+    }
 }
 
 Snap
@@ -208,8 +210,8 @@ run_steered_zipf(std::uint32_t threads, bool reprogram)
     m.num_cores = 8;
     Engine engine(m, steered_router_config(), opts_packetmill(), spec);
     if (reprogram) {
-        // Desynchronize the fabric from the NIC's modulo mapping so
-        // roughly half the buckets hand off to another core.
+        // Desynchronize the fabric from the NIC's RETA so roughly
+        // half the buckets hand off to another core.
         const std::uint32_t tsize = engine.rss_table_size();
         EXPECT_GT(tsize, 0u);
         for (std::uint32_t i = 0; i < tsize; i += 2)
@@ -247,8 +249,7 @@ TEST(Steering, MillionFlowHandoffThreadInvariant)
 }
 
 Snap
-run_controlled(std::uint32_t threads, const std::string &config,
-               std::uint32_t rss_table_size)
+run_controlled(std::uint32_t threads, const std::string &config)
 {
     WorkloadSpec spec;
     std::string err;
@@ -256,7 +257,6 @@ run_controlled(std::uint32_t threads, const std::string &config,
         << err;
     MachineConfig m;
     m.num_cores = 4;
-    m.nic.rss_table_size = rss_table_size;
     Engine engine(m, config, opts_packetmill(), spec);
 
     ControlConfig cc;
@@ -286,60 +286,33 @@ has_table_rewrites(const std::string &decisions)
 // included: the controller only ever acts at serial sampler points.
 TEST(Steering, MidRunFabricRewriteThreadInvariant)
 {
-    const Snap t1 = run_controlled(1, steered_router_config(), 0);
+    const Snap t1 = run_controlled(1, steered_router_config());
     EXPECT_GT(t1.r.tx_pkts, 0u);
     EXPECT_TRUE(has_table_rewrites(t1.decisions))
         << "skewed zipf load must provoke at least one bucket move:\n"
         << t1.decisions;
     EXPECT_GT(t1.steer.steered, 0u)
         << "rewrites must desynchronize the fabric from the NIC";
-    const Snap t2 = run_controlled(2, steered_router_config(), 0);
-    const Snap t4 = run_controlled(4, steered_router_config(), 0);
+    const Snap t2 = run_controlled(2, steered_router_config());
+    const Snap t4 = run_controlled(4, steered_router_config());
     expect_bitexact(t1, t2);
     expect_bitexact(t1, t4);
 }
 
-// Same contract for the hardware path: with the NIC RSS indirection
-// table enabled (and no FlowSteer element), the steer policy rewrites
-// RETA entries mid-run and the run stays bit-identical across thread
-// counts.
+// Same contract for the hardware path: without a FlowSteer element
+// the steer policy rewrites NIC RETA entries mid-run and the run stays
+// bit-identical across thread counts.
 TEST(Steering, MidRunNicIndirectionRewriteThreadInvariant)
 {
-    const Snap t1 = run_controlled(1, router_config(), 64);
+    const Snap t1 = run_controlled(1, router_config());
     EXPECT_GT(t1.r.tx_pkts, 0u);
     EXPECT_TRUE(has_table_rewrites(t1.decisions))
         << "skewed zipf load must provoke at least one RETA rewrite:\n"
         << t1.decisions;
-    const Snap t2 = run_controlled(2, router_config(), 64);
-    const Snap t4 = run_controlled(4, router_config(), 64);
+    const Snap t2 = run_controlled(2, router_config());
+    const Snap t4 = run_controlled(4, router_config());
     expect_bitexact(t1, t2);
     expect_bitexact(t1, t4);
-}
-
-// Enabling the NIC indirection table WITHOUT reprogramming it is
-// bit-identical to the legacy modulo mapping (the round-robin default
-// reproduces hash % nqueues when the queue count divides the table
-// size) — the opt-in is free until the controller desynchronizes it.
-TEST(RssIndirection, DefaultTableBitIdenticalToLegacyEngine)
-{
-    auto run_one = [](std::uint32_t table_size) {
-        MachineConfig m;
-        m.num_cores = 4;
-        m.nic.rss_table_size = table_size;
-        Engine engine(m, router_config(), opts_packetmill(),
-                      default_campus_trace());
-        RunConfig rc;
-        rc.offered_gbps = 70.0;
-        rc.warmup_us = 200.0;
-        rc.duration_us = 600.0;
-        rc.sample_interval_us = 100.0;
-        rc.host_threads = 2;
-        return snapshot(engine, rc);
-    };
-    const Snap legacy = run_one(0);
-    const Snap reta = run_one(128);
-    EXPECT_GT(legacy.r.tx_pkts, 0u);
-    expect_bitexact(legacy, reta);
 }
 
 /// @}

@@ -333,6 +333,51 @@ TEST(TraceExport, JsonlBytesArePinned)
               "\"packet\":0,\"span\":\"\",\"arg\":3}\n");
 }
 
+// Synthetic lifecycles: every tenth packet takes 20 us instead of
+// 10 us, all of it outside the elements, while rt's tail packets run
+// @p tail_rt_extra_ns longer. An element whose excess is a rounding
+// sliver of the total is not named dominant, so the label cannot flip
+// on noise; one holding a real share still is.
+TailAttribution
+attribute_synthetic_tail(double tail_rt_extra_ns)
+{
+    Tracer t(TracerConfig{});
+    const std::uint16_t cls = t.intern("class");
+    const std::uint16_t rt = t.intern("rt");
+    for (std::uint32_t i = 0; i < 100; ++i) {
+        const bool tail = i % 10 == 0;
+        const std::uint64_t pid = t.next_packet_id();
+        const double rx = 1000.0 * i;
+        t.record(TraceEventKind::kRxPacket, rx, pid, 0, 0, 64);
+        t.record(TraceEventKind::kPacketElement, rx + 100, pid, 0, cls, 0,
+                 10, 5.0);
+        t.record(TraceEventKind::kPacketElement, rx + 200, pid, 0, rt, 0,
+                 10, 8.0 + (tail ? tail_rt_extra_ns : 0.0));
+        t.record(TraceEventKind::kTx, rx + (tail ? 20000.0 : 10000.0), pid,
+                 0, 0, 0);
+    }
+    return attribute_tail(t, 15.0);
+}
+
+TEST(TailAttribution, NamesNoElementBelowOnePercentOfExcess)
+{
+    const TailAttribution noise = attribute_synthetic_tail(0.0004);
+    EXPECT_EQ(noise.num_complete, 100u);
+    EXPECT_EQ(noise.num_tail, 10u);
+    EXPECT_EQ(noise.dominant_stage, "queue/wire");
+    ASSERT_EQ(noise.rows.size(), 3u);
+    EXPECT_EQ(noise.rows[1].stage, "rt");
+    EXPECT_GT(noise.rows[1].excess_us, 0.0);
+    EXPECT_LT(noise.rows[1].share_pct, 1.0);
+    EXPECT_EQ(noise.dominant_element, "");
+
+    const TailAttribution real = attribute_synthetic_tail(500.0);
+    EXPECT_EQ(real.dominant_stage, "queue/wire");
+    ASSERT_EQ(real.rows.size(), 3u);
+    EXPECT_GE(real.rows[1].share_pct, 1.0);
+    EXPECT_EQ(real.dominant_element, "rt");
+}
+
 TEST(TailAttributionJsonl, BytesArePinned)
 {
     TailAttribution att;
