@@ -13,8 +13,8 @@ Mempool::Mempool(SimMemory &mem, std::uint32_t num_elements)
     PMILL_ASSERT(is_pow2(num_elements), "pool size must be a power of two");
     storage_ = mem.alloc(std::uint64_t(num_elements) * kMbufElementBytes,
                          kCacheLineBytes, Region::kMbufPool);
-    cache_mem_ = mem.alloc(kCacheLineBytes, kCacheLineBytes,
-                           Region::kMbufPool);
+    cache_mem_ = mem.reserve(kCacheLineBytes, kCacheLineBytes,
+                             Region::kMbufPool);
     free_stack_.reserve(num_elements);
     for (std::uint32_t i = 0; i < num_elements; ++i) {
         RteMbuf *m = elem_host(i);

@@ -42,8 +42,8 @@ class CopyingDatapath : public Datapath {
             round_up(layout.total_bytes, kCacheLineBytes);
         app_mem_ = mem.alloc(obj * cfg.app_pool_size, kCacheLineBytes,
                              Region::kMetadataPool);
-        app_ring_mem_ = mem.alloc(cfg.app_pool_size * 4ull, kCacheLineBytes,
-                                  Region::kMetadataPool);
+        app_ring_mem_ = mem.reserve(cfg.app_pool_size * 4ull,
+                                    kCacheLineBytes, Region::kMetadataPool);
         obj_stride_ = obj;
         app_stack_.reserve(cfg.app_pool_size);
         for (std::uint32_t i = 0; i < cfg.app_pool_size; ++i)
@@ -411,8 +411,8 @@ class XchgDatapath : public Datapath, public XchgAdapter {
             4 * cfg.xchg_meta_slots;
         buf_mem_ = mem.alloc(std::uint64_t(nbufs) * buf_stride_,
                              kCacheLineBytes, Region::kPacketData);
-        spares_mem_ = mem.alloc(spares_.capacity() * 8ull, kCacheLineBytes,
-                                Region::kMetadataPool);
+        spares_mem_ = mem.reserve(spares_.capacity() * 8ull,
+                                  kCacheLineBytes, Region::kMetadataPool);
         for (std::uint32_t i = 0; i < nbufs; ++i) {
             // Post the address past the headroom, like the mbuf path.
             spares_.push(Spare{

@@ -26,8 +26,8 @@ SteerFabric::SteerFabric(std::uint32_t num_cores, std::uint32_t table_size,
         table_[i] = i % num_cores;
 
     const std::uint32_t old_home = mem.home_socket();
-    table_mem_ = mem.alloc(std::uint64_t(table_size) * 4, kCacheLineBytes,
-                           Region::kTable);
+    table_mem_ = mem.reserve(std::uint64_t(table_size) * 4, kCacheLineBytes,
+                             Region::kTable);
     ring_mem_.reserve(num_cores);
     for (std::uint32_t c = 0; c < num_cores; ++c) {
         // Each destination's ring lives on that destination's socket:
@@ -36,8 +36,8 @@ SteerFabric::SteerFabric(std::uint32_t num_cores, std::uint32_t table_size,
         if (ring_sockets)
             mem.set_home_socket((*ring_sockets)[c]);
         ring_mem_.push_back(
-            mem.alloc(std::uint64_t(ring_capacity) * kSlotBytes,
-                      kCacheLineBytes, Region::kDeviceRing));
+            mem.reserve(std::uint64_t(ring_capacity) * kSlotBytes,
+                        kCacheLineBytes, Region::kDeviceRing));
     }
     mem.set_home_socket(old_home);
 

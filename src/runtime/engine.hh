@@ -515,6 +515,9 @@ class Engine : public Actuator {
     /// Flow-steering fabric (only when the config has FlowSteer).
     std::unique_ptr<SteerFabric> steer_;
     std::vector<std::unique_ptr<NicDevice>> nics_;
+    /// Multi-queue arrivals per NIC RETA bucket, summed over the NICs
+    /// (counted only without a fabric, which keeps its own).
+    std::array<std::uint64_t, kRssTableSize> rss_loads_{};
     std::vector<std::unique_ptr<Core>> cores_;
 
     std::unique_ptr<Histogram> latency_;

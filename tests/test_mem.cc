@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
+#include <string>
 
 #include "src/mem/cache.hh"
 #include "src/mem/payload_park.hh"
@@ -27,6 +29,19 @@ TEST(SimMemory, AllocationsAreDisjointAndAligned)
     EXPECT_TRUE(a && b);
 }
 
+/** Resident set size of this process in bytes (VmRSS), or 0 when
+ * /proc/self/status cannot be read. */
+std::uint64_t
+resident_bytes()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line))
+        if (line.rfind("VmRSS:", 0) == 0)
+            return std::stoull(line.substr(6)) * 1024;
+    return 0;
+}
+
 TEST(SimMemory, HostBackingIsZeroedAndWritable)
 {
     SimMemory mem;
@@ -35,6 +50,25 @@ TEST(SimMemory, HostBackingIsZeroedAndWritable)
         EXPECT_EQ(h.host[i], 0);
     std::memset(h.host, 0xAB, 256);
     EXPECT_EQ(h.host[255], 0xAB);
+
+    // A range far above the allocator's largest mmap threshold (32
+    // MiB) costs resident memory only for the pages it touches: the
+    // backing is zeroed without being written. The 32-MiB allowance
+    // covers sanitizer shadow writes and a few transparent huge pages.
+    constexpr std::uint64_t kBig = std::uint64_t(256) << 20;
+    const std::uint64_t before = resident_bytes();
+    ASSERT_GT(before, 0u) << "VmRSS unreadable";
+    MemHandle big = mem.alloc(kBig, 64, Region::kPayloadPark);
+    const std::uint64_t after = resident_bytes();
+    EXPECT_LT(after, before + (std::uint64_t(32) << 20))
+        << "RSS grew by " << ((after - before) >> 20) << " MiB";
+    for (std::uint64_t off = 0; off < kBig; off += std::uint64_t(16) << 20)
+        EXPECT_EQ(big.host[off + 4095], 0) << "offset " << off;
+    EXPECT_EQ(big.host[kBig - 1], 0);
+    big.host[12345] = 0x5A;
+    big.host[kBig - 1] = 0xA5;
+    EXPECT_EQ(big.host[12345], 0x5A);
+    EXPECT_EQ(big.host[kBig - 1], 0xA5);
 }
 
 TEST(SimMemory, HostPtrLookup)

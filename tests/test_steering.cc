@@ -315,6 +315,61 @@ TEST(Steering, MidRunNicIndirectionRewriteThreadInvariant)
     expect_bitexact(t1, t4);
 }
 
+// The per-bucket heat signal the steer policy reads: without a
+// FlowSteer the engine counts every multi-queue arrival in its RETA
+// bucket (summed over the NICs) and resets on request; a single-core
+// run never hashes, so it counts nothing; with a FlowSteer the
+// engine reports the fabric's own counters.
+TEST(Steering, EngineCountsRetaLoadsOnlyWithoutFabric)
+{
+    RunConfig rc;
+    rc.offered_gbps = 40.0;
+    rc.warmup_us = 50.0;
+    rc.duration_us = 150.0;
+    rc.host_threads = 1;
+    auto total_load = [](const Engine &e) {
+        std::uint64_t sum = 0;
+        for (std::uint32_t b = 0; b < e.rss_table_size(); ++b)
+            sum += e.rss_entry_load(b);
+        return sum;
+    };
+
+    MachineConfig m;
+    m.num_cores = 4;
+    m.num_nics = 2;
+    Engine nic_only(m, router_config(), opts_packetmill(),
+                    default_campus_trace());
+    ASSERT_EQ(nic_only.steering(), nullptr);
+    EXPECT_EQ(total_load(nic_only), 0u);
+    nic_only.run(rc);
+    std::uint64_t arrivals = 0;
+    for (std::uint32_t n = 0; n < 2; ++n) {
+        const NicStats st = nic_only.nic(n).stats();
+        arrivals += st.rx_frames + st.rx_drops_no_desc + st.rx_drops_pcie;
+    }
+    EXPECT_GT(arrivals, 0u);
+    EXPECT_EQ(total_load(nic_only), arrivals);
+    nic_only.reset_rss_entry_loads();
+    EXPECT_EQ(total_load(nic_only), 0u);
+
+    MachineConfig one;
+    one.num_cores = 1;
+    Engine single(one, router_config(), opts_packetmill(),
+                  default_campus_trace());
+    EXPECT_GT(single.run(rc).tx_pkts, 0u);
+    EXPECT_EQ(total_load(single), 0u);
+
+    Engine steered(m, steered_router_config(), opts_packetmill(),
+                   default_campus_trace());
+    ASSERT_NE(steered.steering(), nullptr);
+    steered.run(rc);
+    EXPECT_GT(total_load(steered), 0u);
+    for (std::uint32_t b = 0; b < kRssTableSize; ++b)
+        ASSERT_EQ(steered.rss_entry_load(b),
+                  steered.steering()->entry_load(b))
+            << "bucket " << b;
+}
+
 /// @}
 /// @name NUMA placement tests.
 /// @{
