@@ -1,5 +1,7 @@
 #include "src/mem/cache.hh"
 
+#include <cstring>
+
 #include "src/common/log.hh"
 
 namespace pmill {
@@ -46,12 +48,11 @@ CacheLevel::CacheLevel(std::uint64_t size_bytes, std::uint32_t ways,
     // One cache-line-sized block per set: ways_ 32-bit tags + Meta.
     std::uint32_t bytes = ways_ * 4 + 16;
     stride_ = (bytes + 63) & ~63u;
-    raw_.assign(sets_ * stride_ + 64, 0);
-    const std::uintptr_t p = reinterpret_cast<std::uintptr_t>(raw_.data());
-    base_ = raw_.data() + ((64 - (p & 63)) & 63);
+    raw_ = make_zeroed<std::uint8_t>(sets_ * stride_ + 64);
+    const std::uintptr_t p = reinterpret_cast<std::uintptr_t>(raw_.get());
+    base_ = raw_.get() + ((64 - (p & 63)) & 63);
     if (invalidate_filter)
         sig_.assign(sets_, 0);
-    flush();
 }
 
 void
@@ -74,14 +75,14 @@ CacheLevel::lookup_scan(std::uint8_t *blk, std::uint64_t line)
 {
     const std::uint32_t *tg = tags(blk);
     Meta &m = meta(blk);
-    const std::uint32_t tag = tag_of(line);
+    const std::uint32_t tag = stored_tag(line);
     // The MRU way (checked inline) just missed. Sets with two hot
     // lines alternate between the top recency slots, so probe the
     // second slot before the full walk.
-    const std::uint32_t w2 =
-        static_cast<std::uint32_t>((m.perm >> 4) & 0xF);
+    const std::uint64_t perm = get_perm(m);
+    const std::uint32_t w2 = static_cast<std::uint32_t>((perm >> 4) & 0xF);
     if (tg[w2] == tag) {
-        m.perm = perm_touch(m.perm, w2);
+        set_perm(m, perm_touch(perm, w2));
         return true;
     }
     // A line is inserted only when absent, so it matches at most one
@@ -92,7 +93,7 @@ CacheLevel::lookup_scan(std::uint8_t *blk, std::uint64_t line)
             __builtin_ctz(vm));
         vm &= vm - 1;
         if (tg[w] == tag) {
-            m.perm = perm_touch(m.perm, w);
+            set_perm(m, perm_touch(perm, w));
             return true;
         }
     }
@@ -106,7 +107,7 @@ CacheLevel::insert(std::uint64_t line, std::uint32_t way_limit,
     std::uint8_t *blk = block(set_of(line));
     const std::uint32_t *tg = tags(blk);
     Meta &m = meta(blk);
-    const std::uint32_t tag = tag_of(line);
+    const std::uint32_t tag = stored_tag(line);
 
     // Already present (e.g.\ DevWrite to a CPU-resident line): refresh
     // recency and the demand-filled flag. MRU first — NIC descriptor
@@ -124,7 +125,7 @@ CacheLevel::insert(std::uint64_t line, std::uint32_t way_limit,
             __builtin_ctz(vm));
         vm &= vm - 1;
         if (tg[w] == tag) {
-            m.perm = perm_touch(m.perm, w);
+            set_perm(m, perm_touch(get_perm(m), w));
             m.cpu = static_cast<std::uint16_t>(
                 cpu_fill ? m.cpu | (1u << w) : m.cpu & ~(1u << w));
             return;
@@ -147,7 +148,7 @@ CacheLevel::insert_absent(std::uint64_t line, std::uint32_t way_limit,
     const std::uint32_t limit =
         (way_limit == 0 || way_limit > ways_) ? ways_ : way_limit;
     const std::uint32_t limit_mask = (1u << limit) - 1u;
-    PMILL_ASSERT((line >> tag_shift_) < kInvalidTag,
+    PMILL_ASSERT((line >> tag_shift_) < 0xFFFFFFFFu,
                  "simulated address exceeds the 32-bit tag range");
 
     // Victim priority: invalid > LRU streaming line > LRU overall.
@@ -156,6 +157,7 @@ CacheLevel::insert_absent(std::uint64_t line, std::uint32_t way_limit,
     // valid, exactly as in the reference scan (which breaks out at the
     // first invalid way). The LRU-most candidate in the permutation is
     // exactly the minimum-stamp candidate of the stamped model.
+    const std::uint64_t perm = get_perm(m);
     std::uint32_t victim = 0;
     const std::uint32_t invalid = ~m.valid & limit_mask;
     if (invalid) {
@@ -166,7 +168,7 @@ CacheLevel::insert_absent(std::uint64_t line, std::uint32_t way_limit,
             cand = limit_mask;
         for (std::uint32_t i = ways_; i-- > 0;) {
             const std::uint32_t w =
-                static_cast<std::uint32_t>((m.perm >> (4 * i)) & 0xF);
+                static_cast<std::uint32_t>((perm >> (4 * i)) & 0xF);
             if ((cand >> w) & 1u) {
                 victim = w;
                 break;
@@ -174,14 +176,15 @@ CacheLevel::insert_absent(std::uint64_t line, std::uint32_t way_limit,
         }
     }
 
-    tags(blk)[victim] = tag_of(line);
+    const std::uint32_t tag = stored_tag(line);
+    tags(blk)[victim] = tag;
     m.valid = static_cast<std::uint16_t>(m.valid | (1u << victim));
     m.cpu = static_cast<std::uint16_t>(
         cpu_fill ? m.cpu | (1u << victim) : m.cpu & ~(1u << victim));
-    m.perm = perm_touch(m.perm, victim);
+    set_perm(m, perm_touch(perm, victim));
     if (!sig_.empty()) {
         if (invalid)
-            sig_[s] |= sig_bit(tag_of(line));
+            sig_[s] |= sig_bit(tag);
         else
             resig(blk, s);  // the evicted victim's tag left the set
     }
@@ -191,7 +194,7 @@ void
 CacheLevel::invalidate(std::uint64_t line)
 {
     const std::uint64_t s = set_of(line);
-    const std::uint32_t tag = tag_of(line);
+    const std::uint32_t tag = stored_tag(line);
     // Filtered miss: the signature covers every valid tag, so a clear
     // bit proves absence without touching the set block at all (the
     // common case — device writes land on lines the core caches never
@@ -222,13 +225,7 @@ CacheLevel::invalidate(std::uint64_t line)
 void
 CacheLevel::flush()
 {
-    for (std::uint64_t s = 0; s < sets_; ++s) {
-        std::uint8_t *blk = block(s);
-        std::uint32_t *tg = tags(blk);
-        for (std::uint32_t w = 0; w < ways_; ++w)
-            tg[w] = kInvalidTag;
-        meta(blk) = Meta{kIdentityPerm, 0, 0};
-    }
+    std::memset(base_, 0, sets_ * stride_);  // all-zero is empty
     if (!sig_.empty())
         sig_.assign(sets_, 0);
 }

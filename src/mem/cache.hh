@@ -34,6 +34,7 @@
 
 #include "src/common/log.hh"
 #include "src/common/types.hh"
+#include "src/common/zeroed.hh"
 
 namespace pmill {
 
@@ -160,6 +161,13 @@ struct MemStats {
  * A lookup, insert, or invalidate therefore touches one line of host
  * memory per set (two for 16-way levels), which is what keeps several
  * per-core LLC tag arrays from thrashing the host's own cache.
+ *
+ * The block is encoded so that all-zero bytes are an empty set: a way
+ * stores the bitwise NOT of its tag proper (an invalid way stores 0,
+ * which no inserted tag can produce), and the recency word is stored
+ * XORed with the identity permutation. The store is taken zeroed from
+ * calloc, so building a level writes nothing and a set's host page
+ * becomes resident only when a run touches it.
  */
 class CacheLevel {
   public:
@@ -186,7 +194,7 @@ class CacheLevel {
         std::uint8_t *blk = block(set_of(line));
         Meta &m = meta(blk);
         const std::uint32_t mru = static_cast<std::uint32_t>(m.perm & 0xF);
-        if (PMILL_LIKELY(tags(blk)[mru] == tag_of(line))) {
+        if (PMILL_LIKELY(tags(blk)[mru] == stored_tag(line))) {
             return true;  // already MRU: the refresh is a no-op
         }
         return lookup_scan(blk, line);
@@ -217,7 +225,7 @@ class CacheLevel {
     /** Remove @p line if present (device-write invalidation upstream). */
     void invalidate(std::uint64_t line);
 
-    /** Drop all contents. */
+    /** Drop all contents (zero the store). */
     void flush();
 
     /**
@@ -236,10 +244,13 @@ class CacheLevel {
   private:
     /** Per-set metadata, living right after the set's tag array. */
     struct Meta {
-        /// Recency permutation: nibble 0 holds the MRU way id, nibble
-        /// ways-1 the LRU way id. Nibbles at and above ways_ keep
-        /// their (unused, distinct) identity ids so the nibble-search
-        /// in perm_touch never matches a phantom way.
+        /// Recency permutation XOR kIdentityPerm (so 0 is the
+        /// identity; read it through get_perm/set_perm). Decoded,
+        /// nibble 0 holds the MRU way id, nibble ways-1 the LRU way
+        /// id. Nibbles at and above ways_ keep their (unused,
+        /// distinct) identity ids so the nibble-search in perm_touch
+        /// never matches a phantom way. Identity nibble 0 is 0, so
+        /// the stored low nibble is the MRU way id as is.
         std::uint64_t perm;
         std::uint16_t valid;  ///< valid-way bitmask
         std::uint16_t cpu;    ///< demand-filled bitmask (scan-resistant)
@@ -247,12 +258,23 @@ class CacheLevel {
 
     /// Identity permutation: nibble i = i.
     static constexpr std::uint64_t kIdentityPerm = 0xFEDCBA9876543210ull;
+    static_assert((kIdentityPerm & 0xF) == 0, "stored MRU nibble is as is");
 
-    /// Tag stored in invalid ways. Real tags are asserted strictly
-    /// below this on insert, so presence scans can compare every way
-    /// branchlessly (vectorizably) without consulting the valid mask:
-    /// an invalid way can never produce a match.
-    static constexpr std::uint32_t kInvalidTag = 0xFFFFFFFFu;
+    static std::uint64_t get_perm(const Meta &m)
+    {
+        return m.perm ^ kIdentityPerm;
+    }
+    static void set_perm(Meta &m, std::uint64_t perm)
+    {
+        m.perm = perm ^ kIdentityPerm;
+    }
+
+    /// Tag stored in invalid ways. Tags proper are asserted strictly
+    /// below 0xFFFFFFFF on insert, so no stored tag is 0 and presence
+    /// scans can compare every way branchlessly (vectorizably)
+    /// without consulting the valid mask: an invalid way can never
+    /// produce a match.
+    static constexpr std::uint32_t kInvalidTag = 0;
 
     /** Move way @p w to the MRU end of @p perm (one nibble rotate). */
     static std::uint64_t
@@ -278,13 +300,14 @@ class CacheLevel {
 
     std::uint64_t set_of(std::uint64_t line) const { return line & set_mask_; }
 
-    /** Tag proper: the line bits above the set index. Injective for
-     * simulated addresses below 2^(32 + log2(sets)) (asserted on
-     * insert), so 32-bit compares decide presence exactly. */
+    /** Stored form of the tag proper (the line bits above the set
+     * index): its bitwise NOT. Injective for simulated addresses
+     * below 2^(32 + log2(sets)) (asserted on insert), so 32-bit
+     * compares decide presence exactly. */
     std::uint32_t
-    tag_of(std::uint64_t line) const
+    stored_tag(std::uint64_t line) const
     {
-        return static_cast<std::uint32_t>(line >> tag_shift_);
+        return ~static_cast<std::uint32_t>(line >> tag_shift_);
     }
 
     std::uint8_t *block(std::uint64_t s) { return base_ + s * stride_; }
@@ -311,7 +334,7 @@ class CacheLevel {
     std::uint32_t ways_;
     std::uint32_t tag_shift_;  // log2(sets_)
     std::uint32_t stride_;     // bytes per set block (cache-line multiple)
-    std::vector<std::uint8_t> raw_;  // block storage + alignment slack
+    ZeroedArray<std::uint8_t> raw_;  // block storage + alignment slack
     std::uint8_t *base_ = nullptr;   // 64-byte-aligned first block
     std::vector<std::uint64_t> sig_;  // empty unless invalidate_filter
 };

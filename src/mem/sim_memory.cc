@@ -1,8 +1,6 @@
 #include "src/mem/sim_memory.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <new>
 
 #include "src/common/log.hh"
 
@@ -32,17 +30,8 @@ MemHandle
 SimMemory::alloc(std::uint64_t size, std::uint64_t align, Region r)
 {
     MemHandle h = reserve(size, align, r);
-    // calloc zeroes without writing where it can: a range above the
-    // allocator's mmap threshold is usually a fresh anonymous mapping
-    // whose pages the kernel zero-fills on first touch, so a page no
-    // access writes never becomes resident. (glibc raises the
-    // threshold, up to 32 MiB, as mapped chunks are freed; a range
-    // below it comes from the heap and may be zeroed by writing.)
-    auto *host = static_cast<std::uint8_t *>(std::calloc(size, 1));
-    if (host == nullptr)
-        throw std::bad_alloc();
-    allocs_.back().host.reset(host);
-    h.host = host;
+    allocs_.back().host = make_zeroed<std::uint8_t>(size);
+    h.host = allocs_.back().host.get();
     return h;
 }
 

@@ -26,12 +26,11 @@
 #define PMILL_MEM_SIM_MEMORY_HH
 
 #include <cstdint>
-#include <cstdlib>
-#include <memory>
 #include <vector>
 
 #include "src/common/random.hh"
 #include "src/common/types.hh"
+#include "src/common/zeroed.hh"
 
 namespace pmill {
 
@@ -137,14 +136,10 @@ class SimMemory {
     std::uint32_t socket_of(Addr a) const;
 
   private:
-    struct FreeHost {
-        void operator()(std::uint8_t *p) const { std::free(p); }
-    };
-
     struct Alloc {
         Addr base;
         std::uint64_t size;
-        std::unique_ptr<std::uint8_t, FreeHost> host;  // null when reserved
+        ZeroedArray<std::uint8_t> host;  // null when reserved
         Region region;
         std::uint32_t socket;
     };

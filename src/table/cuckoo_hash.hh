@@ -71,9 +71,9 @@ class CuckooHash {
         num_buckets_ = 1;
         while (num_buckets_ < want_buckets)
             num_buckets_ <<= 1;
+        // alloc() returns zeroed backing: every entry starts unused.
         storage_ = mem.alloc(num_buckets_ * sizeof(Bucket), kCacheLineBytes,
                              Region::kTable);
-        std::memset(storage_.host, 0, storage_.size);
     }
 
     /**

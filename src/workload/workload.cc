@@ -235,7 +235,7 @@ WorkloadSource::WorkloadSource(const WorkloadSpec &spec, std::uint32_t stream)
     if (spec_.kind == WorkloadSpec::kUniform ||
         spec_.kind == WorkloadSpec::kZipf ||
         spec_.kind == WorkloadSpec::kChurn)
-        slots_.resize(spec_.flows);
+        slots_ = make_zeroed<Slot>(spec_.flows);
 }
 
 std::uint64_t

@@ -28,9 +28,9 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "src/common/random.hh"
+#include "src/common/zeroed.hh"
 #include "src/net/headers.hh"
 #include "src/trace/trace.hh"
 #include "src/workload/samplers.hh"
@@ -116,13 +116,15 @@ class WorkloadSource final : public FrameSource {
     /** Host bytes of per-flow generator state (the slot table). */
     std::uint64_t state_bytes() const
     {
-        return slots_.size() * sizeof(Slot);
+        return slots_ ? spec_.flows * sizeof(Slot) : 0;
     }
 
   private:
     /// Per-flow generator state: which incarnation of the slot's
     /// 5-tuple is live and how many frames it has left. 8 bytes per
     /// flow keeps a 1.5M-flow universe at ~12 MB of host memory.
+    /// Slot{} is all zero bytes, so the table comes zeroed from
+    /// make_zeroed() and only the slots a run draws become resident.
     struct Slot {
         std::uint32_t epoch = 0;
         std::uint16_t remaining = 0;  ///< 0 = dead, kImmortal = no FIN
@@ -141,7 +143,7 @@ class WorkloadSource final : public FrameSource {
     Xorshift64 rng_;
     ZipfSampler zipf_;
     BurstModulator bursts_;
-    std::vector<Slot> slots_;
+    ZeroedArray<Slot> slots_;
     std::uint64_t probe_idx_ = 0;  ///< synflood/portscan sequence number
     WorkloadStats stats_;
 };

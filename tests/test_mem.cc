@@ -10,10 +10,13 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "src/mem/cache.hh"
 #include "src/mem/payload_park.hh"
 #include "src/mem/sim_memory.hh"
+#include "src/table/cuckoo_hash.hh"
+#include "src/workload/workload.hh"
 
 namespace pmill {
 namespace {
@@ -261,6 +264,55 @@ TEST(Cache, FlushColdsEverything)
     ch.flush();
     AccessResult r = ch.access(0x100, 4, AccessType::kLoad);
     EXPECT_EQ(r.level, HitLevel::kDram);
+}
+
+TEST(Cache, BuildingModelStateLeavesItNonResident)
+{
+    // Sixteen default hierarchies (a 2 MiB LLC tag store each), a
+    // 1M-key cuckoo table (64 MiB of buckets) and a 1M-flow workload
+    // (8 MiB of slots): all-zero bytes are each one's empty state, so
+    // building them writes none of it. Eagerly written, this grows
+    // VmRSS by about 107 MiB.
+    const std::uint64_t before = resident_bytes();
+    ASSERT_GT(before, 0u) << "VmRSS unreadable";
+    std::vector<CacheHierarchy> caches(16);
+    SimMemory mem;
+    CuckooHash<std::uint64_t, std::uint32_t> table(mem, 1u << 20);
+    WorkloadSpec spec;
+    spec.flows = 1u << 20;
+    WorkloadSource source(spec);
+    const std::uint64_t after = resident_bytes();
+    EXPECT_LT(after, before + (std::uint64_t(16) << 20))
+        << "RSS grew by " << ((after - before) >> 20) << " MiB";
+
+    // Each cold hierarchy serves a first access from DRAM, then L1.
+    for (CacheHierarchy &ch : caches) {
+        EXPECT_EQ(ch.access(0x123440, 8, AccessType::kLoad).level,
+                  HitLevel::kDram);
+        EXPECT_EQ(ch.access(0x123440, 8, AccessType::kLoad).level,
+                  HitLevel::kL1);
+    }
+    EXPECT_FALSE(table.lookup(42).has_value());
+    EXPECT_EQ(source.state_bytes(), spec.flows * 8);
+}
+
+TEST(Cache, TagRangeEndsOneBelowAllOnes)
+{
+    // 4 sets x 2 ways: the tag proper is line >> 2. The largest tag
+    // proper a line may have is 0xFFFFFFFE; its stored form is
+    // nonzero, so it is never mistaken for an empty way.
+    CacheLevel level(4 * 2 * kCacheLineBytes, 2);
+    const std::uint64_t top = (std::uint64_t(0xFFFFFFFEu) << 2) | 1;
+    EXPECT_FALSE(level.lookup(top));
+    level.insert(top);
+    EXPECT_TRUE(level.lookup(top));
+    EXPECT_FALSE(level.lookup(top ^ 1));  // same tag, other set
+
+    // Tag proper 0xFFFFFFFF would be stored as the empty tag.
+    const std::uint64_t over = (std::uint64_t(0xFFFFFFFFu) << 2) | 1;
+    EXPECT_DEATH(level.insert_absent(over), "32-bit tag range");
+    level.insert(top - 4);  // fill the set's other way
+    EXPECT_DEATH(level.insert(over), "32-bit tag range");
 }
 
 TEST(Cache, TlbMissAddsWallTime)
