@@ -85,7 +85,7 @@ main(int argc, char **argv)
     std::uint32_t park_split = 0;  // 0 = not given (model default 96)
     bool do_verify = false, do_report = false, do_json = false;
     bool do_explain = false;
-    std::string stats_json_path, stats_csv_path;
+    std::string stats_json_path;
     std::string trace_out_path, trace_jsonl_path;
     std::string profile_out_path, profile_in_path;
     std::string control_policy, decision_log_path;
@@ -137,7 +137,6 @@ main(int argc, char **argv)
         {"--json", "", "print the results as a JSON object", &do_json},
         {"--stats-json", "PATH", "write samples, cycle ledger, element "
          "costs and the run summary as JSON Lines", &stats_json_path},
-        {"--stats-csv", "PATH", "write the samples as CSV", &stats_csv_path},
         {"--sample-interval-us", "N",
          "telemetry sample period (default 100, 0 = no sampling)",
          Double{.out = &sample_us, .lo = 0, .hi = 1e9}},
@@ -408,16 +407,6 @@ main(int argc, char **argv)
                    .num("sim_per_wall", sim_per_wall)
                    .num("sim_pkts_per_s", host_pkts_per_s)
                    .integer("host_threads", host_threads);
-    }
-
-    if (!stats_csv_path.empty()) {
-        std::ofstream out(stats_csv_path);
-        if (!out) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         stats_csv_path.c_str());
-            return 1;
-        }
-        export_csv(engine.timeline(), out);
     }
 
     if (do_json) {

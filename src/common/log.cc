@@ -6,22 +6,6 @@
 
 namespace pmill {
 
-namespace {
-LogLevel g_level = LogLevel::kInform;
-} // namespace
-
-void
-set_log_level(LogLevel level)
-{
-    g_level = level;
-}
-
-LogLevel
-log_level()
-{
-    return g_level;
-}
-
 std::string
 vstrprintf(const char *fmt, va_list ap)
 {
@@ -80,8 +64,6 @@ fatal(const char *fmt, ...)
 void
 warn(const char *fmt, ...)
 {
-    if (g_level < LogLevel::kWarn)
-        return;
     va_list ap;
     va_start(ap, fmt);
     emit("warn", fmt, ap);
@@ -91,22 +73,9 @@ warn(const char *fmt, ...)
 void
 inform(const char *fmt, ...)
 {
-    if (g_level < LogLevel::kInform)
-        return;
     va_list ap;
     va_start(ap, fmt);
     emit("info", fmt, ap);
-    va_end(ap);
-}
-
-void
-debug(const char *fmt, ...)
-{
-    if (g_level < LogLevel::kDebug)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    emit("debug", fmt, ap);
     va_end(ap);
 }
 

@@ -16,20 +16,6 @@
 
 namespace pmill {
 
-/** Verbosity levels for runtime log filtering. */
-enum class LogLevel {
-    kQuiet = 0,   ///< Only fatal/panic output.
-    kWarn = 1,    ///< Also warnings.
-    kInform = 2,  ///< Also informational messages (default).
-    kDebug = 3,   ///< Also debug chatter.
-};
-
-/** Set the global log verbosity. */
-void set_log_level(LogLevel level);
-
-/** Get the current global log verbosity. */
-LogLevel log_level();
-
 /**
  * Report an internal invariant violation (a simulator bug) and abort.
  * Never returns.
@@ -49,9 +35,6 @@ void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Report normal operating status. */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Report debug-level chatter (suppressed unless LogLevel::kDebug). */
-void debug(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** printf-style formatting into a std::string. */
 std::string strprintf(const char *fmt, ...)

@@ -293,12 +293,7 @@ PmdXchg::tx_burst(void **pkts, std::uint32_t n, TimeNs now,
         d.len = adapter_.tx_len(pkts[i], sink);
         d.arrival_ns = adapter_.tx_arrival(pkts[i]);
         d.post_ns = now;
-        d.park_len = adapter_.tx_park_len(pkts[i]);
-        if (d.park_len != 0) {
-            d.park_addr = adapter_.tx_park_addr(pkts[i]);
-            d.park_ticket = adapter_.tx_park_ticket(pkts[i]);
-            d.park_host = adapter_.tx_park_host(pkts[i]);
-        }
+        d.park = adapter_.tx_park(pkts[i]);
         sink_store(sink,
                    nic_.tx_desc_addr(queue_, nic_.tx_next_post_slot(queue_)),
                    NicDevice::kDescBytes);

@@ -26,6 +26,7 @@
 
 #include "src/common/types.hh"
 #include "src/mem/access_sink.hh"
+#include "src/mem/payload_park.hh"
 
 namespace pmill {
 
@@ -96,34 +97,12 @@ class XchgAdapter {
         (void)park_len;
         (void)sink;
     }
-    /** TX: parked payload length (0 = nothing parked). */
-    virtual std::uint32_t
-    tx_park_len(void *pkt)
+    /** TX: the packet's parked payload (all zero = nothing parked). */
+    virtual ParkRef
+    tx_park(void *pkt)
     {
         (void)pkt;
-        return 0;
-    }
-    /** TX: park-arena address of the parked payload. */
-    virtual Addr
-    tx_park_addr(void *pkt)
-    {
-        (void)pkt;
-        return 0;
-    }
-    /** TX: the packet's park ticket. */
-    virtual std::uint32_t
-    tx_park_ticket(void *pkt)
-    {
-        (void)pkt;
-        return 0;
-    }
-    /** TX: host backing of the parked payload (for capture/steering
-     * consumers that gather the full frame themselves). */
-    virtual const std::uint8_t *
-    tx_park_host(void *pkt)
-    {
-        (void)pkt;
-        return nullptr;
+        return {};
     }
     /**
      * Release the packet's parked payload on a driver-side abort

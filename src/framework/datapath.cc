@@ -357,11 +357,7 @@ class XchgDatapath : public Datapath, public XchgAdapter {
         std::uint8_t *buf_host = nullptr;
         std::uint32_t len = 0;
         TimeNs arrival = 0;
-        // Parking model only; always zero under plain X-Change.
-        std::uint32_t park_ticket = 0;
-        std::uint32_t park_len = 0;
-        Addr park_addr = 0;
-        const std::uint8_t *park_host = nullptr;
+        ParkRef park;  ///< Parking model only; zero under X-Change
     };
 
     static constexpr std::uint32_t kBufStride =
@@ -445,9 +441,9 @@ class XchgDatapath : public Datapath, public XchgAdapter {
             fill_handle(h, xp->buf_addr, xp->buf_host, xp->len, xp->arrival);
             h.meta_addr = xp->meta_addr;
             h.meta_host = xp->meta_host;
-            h.park_addr = xp->park_addr;
-            h.park_host = xp->park_host;
-            h.park_len = xp->park_len;
+            h.park_addr = xp->park.addr;
+            h.park_host = xp->park.host;
+            h.park_len = xp->park.len;
             h.backing = xp;
             PacketView v(h, layout_, &ctx);
             if (ctx.opts().batch_link)
@@ -734,10 +730,9 @@ class ParkingDatapath : public XchgDatapath {
             PacketHandle &h = batch[i];
             auto *xp = static_cast<XPkt *>(h.backing);
             if (h.dropped) {
-                if (xp->park_ticket != 0) {
-                    park_.release(xp->park_ticket, /*dropped=*/true);
-                    xp->park_ticket = 0;
-                    xp->park_len = 0;
+                if (xp->park.ticket != 0) {
+                    park_.release(xp->park.ticket, /*dropped=*/true);
+                    xp->park = {};
                 }
                 recycle_buffer(xp->buf_addr, xp->buf_host, &ctx);
                 continue;
@@ -750,7 +745,7 @@ class ParkingDatapath : public XchgDatapath {
                 xp->buf_addr = h.data_addr;
                 xp->buf_host = h.data;
             }
-            if (xp->park_len != 0) {
+            if (xp->park.len != 0) {
                 // The PMD reads the ticket to build the gather
                 // descriptor — that load is real metadata-model work.
                 // No rejoin happens here: the payload stays parked and
@@ -771,8 +766,8 @@ class ParkingDatapath : public XchgDatapath {
     {
         // The ticket rode the descriptor, so completion-time release
         // is safe even after the XPkt slot was reused for new RX.
-        if (c.park_ticket != 0)
-            park_.release(c.park_ticket, /*dropped=*/false);
+        if (c.park.ticket != 0)
+            park_.release(c.park.ticket, /*dropped=*/false);
         XchgDatapath::on_tx_complete(c);
     }
 
@@ -794,11 +789,7 @@ class ParkingDatapath : public XchgDatapath {
             return false;
         // Metadata slots are reused round-robin; scrub any stale park
         // state so an unparked frame never inherits a ticket.
-        auto *xp = static_cast<XPkt *>(slot.pkt);
-        xp->park_ticket = 0;
-        xp->park_len = 0;
-        xp->park_addr = 0;
-        xp->park_host = nullptr;
+        static_cast<XPkt *>(slot.pkt)->park = {};
         return true;
     }
 
@@ -807,35 +798,15 @@ class ParkingDatapath : public XchgDatapath {
              AccessSink *sink) override
     {
         auto *xp = static_cast<XPkt *>(pkt);
-        xp->park_ticket = ticket;
-        xp->park_len = park_len;
-        xp->park_addr = park_.slot_addr(ticket);
-        xp->park_host = park_.slot_host(ticket);
+        xp->park = {park_.slot_addr(ticket), park_len, ticket,
+                    park_.slot_host(ticket)};
         field_store(xp, Field::kParkTicket, ticket, sink);
     }
 
-    std::uint32_t
-    tx_park_len(void *pkt) override
+    ParkRef
+    tx_park(void *pkt) override
     {
-        return static_cast<XPkt *>(pkt)->park_len;
-    }
-
-    Addr
-    tx_park_addr(void *pkt) override
-    {
-        return static_cast<XPkt *>(pkt)->park_addr;
-    }
-
-    std::uint32_t
-    tx_park_ticket(void *pkt) override
-    {
-        return static_cast<XPkt *>(pkt)->park_ticket;
-    }
-
-    const std::uint8_t *
-    tx_park_host(void *pkt) override
-    {
-        return static_cast<XPkt *>(pkt)->park_host;
+        return static_cast<XPkt *>(pkt)->park;
     }
 
     void
@@ -843,10 +814,9 @@ class ParkingDatapath : public XchgDatapath {
     {
         (void)sink;
         auto *xp = static_cast<XPkt *>(pkt);
-        if (xp->park_ticket != 0) {
-            park_.release(xp->park_ticket, /*dropped=*/true);
-            xp->park_ticket = 0;
-            xp->park_len = 0;
+        if (xp->park.ticket != 0) {
+            park_.release(xp->park.ticket, /*dropped=*/true);
+            xp->park = {};
         }
     }
 

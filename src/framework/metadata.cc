@@ -1,6 +1,5 @@
 #include "src/framework/metadata.hh"
 
-#include <algorithm>
 #include <set>
 
 #include "src/common/log.hh"
@@ -181,33 +180,6 @@ make_parking_layout()
     MetadataLayout l = make_xchg_layout();
     l.name = "parking(header-only 64B)";
     place(l, Field::kParkTicket, 60);
-    return l;
-}
-
-MetadataLayout
-reorder_layout(const MetadataLayout &base, const std::vector<Field> &order)
-{
-    PMILL_ASSERT(order.size() == kNumFields,
-                 "reorder must mention every field exactly once");
-    MetadataLayout l;
-    l.name = base.name + "+reordered";
-    l.total_bytes = base.total_bytes;
-
-    std::uint32_t off = 0;
-    bool seen[kNumFields] = {};
-    for (Field f : order) {
-        const auto i = static_cast<std::size_t>(f);
-        PMILL_ASSERT(!seen[i], "field %s repeated in reorder",
-                     field_name(f));
-        seen[i] = true;
-        // Natural alignment so values never straddle lines needlessly.
-        const std::uint32_t sz = field_size(f);
-        off = static_cast<std::uint32_t>(round_up(off, std::min(sz, 8u)));
-        PMILL_ASSERT(off + sz <= l.total_bytes,
-                     "reordered layout overflows object size");
-        l.offset[i] = static_cast<std::uint16_t>(off);
-        off += sz;
-    }
     return l;
 }
 

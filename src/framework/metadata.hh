@@ -105,14 +105,6 @@ MetadataLayout make_xchg_layout();
  */
 MetadataLayout make_parking_layout();
 
-/**
- * Build a layout with the same total size as @p base but with fields
- * placed in @p order (first = offset 0, packed tightly). Used by the
- * mill's reorder pass.
- */
-MetadataLayout reorder_layout(const MetadataLayout &base,
-                              const std::vector<Field> &order);
-
 } // namespace pmill
 
 #endif // PMILL_FRAMEWORK_METADATA_HH

@@ -32,6 +32,18 @@
 
 namespace pmill {
 
+/**
+ * Where a frame's parked payload sits: @p len bytes at park-arena
+ * address @p addr under @p ticket, with host backing @p host. All
+ * zero when nothing is parked (every model but Parking).
+ */
+struct ParkRef {
+    Addr addr = 0;
+    std::uint32_t len = 0;
+    std::uint32_t ticket = 0;
+    const std::uint8_t *host = nullptr;
+};
+
 class PayloadPark {
   public:
     /** Lifecycle counters (see file comment for the invariant). */

@@ -379,10 +379,7 @@ NicDevice::drain_tx(TimeNs now, std::vector<TxCompletion> &out)
         c.departure_ns = departure;
         c.queue = qi;
         c.desc_addr = desc_addr;
-        c.park_addr = head.park_addr;
-        c.park_len = head.park_len;
-        c.park_ticket = head.park_ticket;
-        c.park_host = head.park_host;
+        c.park = head.park;
         out.push_back(c);
 
         pcie_tx_free_ = dma_done;

@@ -28,13 +28,13 @@
 #include "src/common/ring.hh"
 #include "src/common/types.hh"
 #include "src/mem/cache.hh"
+#include "src/mem/payload_park.hh"
 #include "src/mem/sim_memory.hh"
 #include "src/net/flow.hh"
 
 namespace pmill {
 
 class MetricsRegistry;
-class PayloadPark;
 class Tracer;
 
 /** Wire-level framing overhead: preamble(8) + IFG(12) + FCS(4). */
@@ -76,14 +76,11 @@ struct TxDescriptor {
     std::uint32_t len = 0;
     TimeNs arrival_ns = 0;  ///< original wire arrival (for latency)
     TimeNs post_ns = 0;     ///< when the core posted the descriptor
-    /// Parking model: TX gathers len - park_len buffer bytes plus
-    /// park_len payload bytes from park_addr (0/0/0 otherwise).
-    /// park_host is the payload's host backing — the buffer holds
-    /// only the header, so frame-byte consumers gather through it.
-    Addr park_addr = 0;
-    std::uint32_t park_len = 0;
-    std::uint32_t park_ticket = 0;
-    const std::uint8_t *park_host = nullptr;
+    /// Parking model: TX gathers len - park.len buffer bytes plus
+    /// park.len payload bytes from park.addr. park.host is the
+    /// payload's host backing — the buffer holds only the header, so
+    /// frame-byte consumers gather through it.
+    ParkRef park;
 };
 
 /** Completion of a transmitted frame (buffer ownership returns). */
@@ -100,14 +97,11 @@ struct TxCompletion {
     /// scheduler: the reads move to the core's worker thread).
     Addr desc_addr = 0;
     /// Parking model: the gather this completion's DMA performed (or,
-    /// deferred, the one the caller must replay) — len - park_len
-    /// buffer bytes as DevRead plus park_len bytes from park_addr as
-    /// ParkRead. park_ticket lets the datapath release the slot;
-    /// park_host lets TX capture assemble the full frame host-side.
-    Addr park_addr = 0;
-    std::uint32_t park_len = 0;
-    std::uint32_t park_ticket = 0;
-    const std::uint8_t *park_host = nullptr;
+    /// deferred, the one the caller must replay) — len - park.len
+    /// buffer bytes as DevRead plus park.len bytes from park.addr as
+    /// ParkRead. park.ticket lets the datapath release the slot;
+    /// park.host lets TX capture assemble the full frame host-side.
+    ParkRef park;
 };
 
 /** Static NIC parameters. */
@@ -147,9 +141,8 @@ class NicDevice {
 
     /**
      * Route queue @p queue 's DMA traffic into @p caches — used in
-     * multicore runs where each core's hierarchy models its slice of
-     * the socket (DESIGN.md documents the LLC-partitioning
-     * approximation).
+     * multicore runs, where each core has its own hierarchy with a
+     * private full-size LLC (DESIGN.md names this approximation).
      */
     void bind_queue_cache(std::uint32_t queue, CacheHierarchy *caches);
 
@@ -257,7 +250,7 @@ class NicDevice {
      * @p out; buffer ownership returns to the caller. The drain
      * touches no simulated memory: the caller replays the device's
      * descriptor and frame reads from the completion's
-     * desc_addr/buf_addr/park_addr on the owning core's hierarchy,
+     * desc_addr/buf_addr/park.addr on the owning core's hierarchy,
      * keeping every cache access core-local.
      */
     void drain_tx(TimeNs now, std::vector<TxCompletion> &out);

@@ -170,10 +170,11 @@ Engine::init(const std::string &config_text)
             machine.num_cores);
     };
 
-    // Cores: private hierarchy (LLC statically partitioned — see
-    // DESIGN.md), private ExecContext, private pipeline instance
-    // (thread-local elements, flows partitioned by RSS). Each core's
-    // pipeline state is homed on its own socket.
+    // Cores: private hierarchy (each core models its own full-size
+    // LLC; nothing is shared or partitioned — see DESIGN.md), private
+    // ExecContext, private pipeline instance (thread-local elements,
+    // flows partitioned by RSS). Each core's pipeline state is homed
+    // on its own socket.
     for (std::uint32_t c = 0; c < machine.num_cores; ++c) {
         mem_->set_home_socket(core_socket(c));
         auto core = std::make_unique<Core>();
@@ -887,13 +888,13 @@ Engine::drain_all_tx(TimeNs now, std::vector<std::vector<PendingTx>> &pending)
 void
 Engine::capture_tx(const TxCompletion &c)
 {
-    if (c.park_len == 0) {
+    if (c.park.len == 0) {
         tx_capture_(c.buf_host, c.len);
         return;
     }
-    const std::uint32_t hdr = c.len - c.park_len;
+    const std::uint32_t hdr = c.len - c.park.len;
     std::memcpy(cap_buf_.data(), c.buf_host, hdr);
-    std::memcpy(cap_buf_.data() + hdr, c.park_host, c.park_len);
+    std::memcpy(cap_buf_.data() + hdr, c.park.host, c.park.len);
     tx_capture_(cap_buf_.data(), c.len);
 }
 
@@ -1207,9 +1208,9 @@ Engine::run_epoch(const RunConfig &rc)
                       AccessType::kDevRead);
             // Parking: the buffer holds only the header prefix; the
             // payload is gathered from the park arena.
-            qc.access(c.buf_addr, c.len - c.park_len, AccessType::kDevRead);
-            if (c.park_len != 0)
-                qc.access(c.park_addr, c.park_len, AccessType::kParkRead);
+            qc.access(c.buf_addr, c.len - c.park.len, AccessType::kDevRead);
+            if (c.park.len != 0)
+                qc.access(c.park.addr, c.park.len, AccessType::kParkRead);
             core.dps[p.nic].dp->on_tx_complete(c);
         }
         fx.clear();
@@ -1382,15 +1383,6 @@ Engine::element_stats() const
         }
     }
     return sum;
-}
-
-RunResult
-run_experiment(const MachineConfig &machine, const std::string &config_text,
-               const PipelineOpts &opts, const Trace &trace,
-               const RunConfig &rc)
-{
-    Engine engine(machine, config_text, opts, trace);
-    return engine.run(rc);
 }
 
 } // namespace pmill

@@ -5,14 +5,12 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
-#include <sstream>
 
 #include <unistd.h>
 
 #include "src/common/json.hh"
 #include "src/common/log.hh"
 #include "src/common/table_printer.hh"
-#include "src/telemetry/export.hh"
 
 namespace pmill {
 
@@ -132,18 +130,12 @@ BenchReport::write_artifacts() const
         json += rec.line();
     }
 
-    std::ostringstream csv;
-    write_csv_record(csv, header_);
-    for (const auto &r : rows_)
-        write_csv_record(csv, r);
-
-    if (!write_file_atomic(base + ".json", json) ||
-        !write_file_atomic(base + ".csv", csv.str())) {
-        warn("bench artifacts: cannot write %s.{json,csv}", base.c_str());
+    if (!write_file_atomic(base + ".json", json)) {
+        warn("bench artifacts: cannot write %s.json", base.c_str());
         return;
     }
 
-    std::printf("artifacts:  %s.json, %s.csv\n", base.c_str(), base.c_str());
+    std::printf("artifacts:  %s.json\n", base.c_str());
 }
 
 } // namespace pmill

@@ -15,7 +15,6 @@
 #define PMILL_TRACE_TRACE_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/net/headers.hh"
@@ -87,16 +86,6 @@ class Trace {
                        : static_cast<double>(total_bytes_) /
                              static_cast<double>(size());
     }
-
-    /** Serialize to a compact binary file. @return false on I/O error. */
-    bool save(const std::string &path) const;
-
-    /**
-     * Load a trace written by save(). @return false on I/O error, a
-     * bad header, a frame length outside [1, kMaxFrameLen], or counts
-     * the file is too short to hold.
-     */
-    bool load(const std::string &path);
 
   private:
     struct Index {

@@ -72,7 +72,6 @@ class BurstModulator {
     double next_gap_scale(Xorshift64 &rng);
 
     bool active() const { return burst_ > 1.0; }
-    bool on_phase() const { return on_; }
 
   private:
     double burst_;

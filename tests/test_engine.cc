@@ -70,8 +70,8 @@ TEST(EngineRun, ResultFieldsAreConsistent)
     rc.offered_gbps = 40.0;
     rc.warmup_us = 200;
     rc.duration_us = 500;
-    RunResult r = run_experiment(m, forwarder_config(),
-                                 PipelineOpts::vanilla(), t, rc);
+    RunResult r = Engine(m, forwarder_config(),
+                         PipelineOpts::vanilla(), t).run(rc);
     // Wire rate strictly exceeds goodput (framing overhead).
     EXPECT_GT(r.throughput_gbps, r.goodput_gbps);
     // Mpps consistent with goodput at 1024-B frames.
@@ -140,8 +140,8 @@ TEST(EngineRun, PerNicOfferedLoadIsIndependent)
     rc.offered_gbps = 40.0;
     rc.warmup_us = 200;
     rc.duration_us = 500;
-    RunResult r = run_experiment(m, forwarder_config(),
-                                 PipelineOpts::packetmill(), t, rc);
+    RunResult r = Engine(m, forwarder_config(),
+                         PipelineOpts::packetmill(), t).run(rc);
     EXPECT_NEAR(r.throughput_gbps, 80.0, 4.0);
 }
 
@@ -155,8 +155,8 @@ TEST(EngineRun, WorkPackageWarmupEstablishesResidency)
     rc.offered_gbps = 50.0;
     rc.warmup_us = 100;  // deliberately short
     rc.duration_us = 300;
-    RunResult r = run_experiment(m, workpackage_config(2, 1, 0),
-                                 PipelineOpts::packetmill(), t, rc);
+    RunResult r = Engine(m, workpackage_config(2, 1, 0),
+                         PipelineOpts::packetmill(), t).run(rc);
     EXPECT_LT(static_cast<double>(r.mem.llc_load_misses) /
                   static_cast<double>(r.tx_pkts),
               0.05);

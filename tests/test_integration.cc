@@ -61,7 +61,7 @@ TEST(EngineIntegration, ForwarderForwardsEverythingWhenUnderloaded)
     MachineConfig m = small_machine(3.0);
     RunConfig rc = quick_run(20.0);  // light load: no drops expected
     RunResult r =
-        run_experiment(m, kForwarderConfig, PipelineOpts::vanilla(), t, rc);
+        Engine(m, kForwarderConfig, PipelineOpts::vanilla(), t).run(rc);
     EXPECT_EQ(r.rx_drops, 0u);
     EXPECT_GT(r.tx_pkts, 1000u);
     EXPECT_NEAR(r.throughput_gbps, 20.0, 1.5);
@@ -93,11 +93,11 @@ TEST(EngineIntegration, MetadataModelOrdering)
     xchg.model = MetadataModel::kXchange;
 
     const double g_copy =
-        run_experiment(m, kForwarderConfig, copy, t, rc).throughput_gbps;
+        Engine(m, kForwarderConfig, copy, t).run(rc).throughput_gbps;
     const double g_over =
-        run_experiment(m, kForwarderConfig, overlay, t, rc).throughput_gbps;
+        Engine(m, kForwarderConfig, overlay, t).run(rc).throughput_gbps;
     const double g_xchg =
-        run_experiment(m, kForwarderConfig, xchg, t, rc).throughput_gbps;
+        Engine(m, kForwarderConfig, xchg, t).run(rc).throughput_gbps;
 
     EXPECT_GT(g_over, g_copy * 1.02);
     EXPECT_GT(g_xchg, g_over * 1.02);
@@ -120,13 +120,13 @@ TEST(EngineIntegration, CodeOptimizationLadder)
     graph.static_graph = true;
 
     const double g_v =
-        run_experiment(m, kRouterConfig, vanilla, t, rc).throughput_gbps;
+        Engine(m, kRouterConfig, vanilla, t).run(rc).throughput_gbps;
     const double g_d =
-        run_experiment(m, kRouterConfig, devirt, t, rc).throughput_gbps;
+        Engine(m, kRouterConfig, devirt, t).run(rc).throughput_gbps;
     const double g_c =
-        run_experiment(m, kRouterConfig, constants, t, rc).throughput_gbps;
+        Engine(m, kRouterConfig, constants, t).run(rc).throughput_gbps;
     const double g_g =
-        run_experiment(m, kRouterConfig, graph, t, rc).throughput_gbps;
+        Engine(m, kRouterConfig, graph, t).run(rc).throughput_gbps;
 
     EXPECT_GT(g_d, g_v);
     EXPECT_GE(g_c, g_d * 0.995);
@@ -145,8 +145,8 @@ TEST(EngineIntegration, StaticGraphSlashesLlcMisses)
     graph.constants = true;
     graph.static_graph = true;
 
-    RunResult rv = run_experiment(m, kRouterConfig, vanilla, t, rc);
-    RunResult rg = run_experiment(m, kRouterConfig, graph, t, rc);
+    RunResult rv = Engine(m, kRouterConfig, vanilla, t).run(rc);
+    RunResult rg = Engine(m, kRouterConfig, graph, t).run(rc);
 
     EXPECT_GT(rv.llc_kmisses_per_100ms, rg.llc_kmisses_per_100ms * 20.0)
         << "static graph should reduce LLC misses by orders of magnitude";
@@ -173,7 +173,7 @@ TEST(EngineIntegration, OverloadCausesDropsNotCrashes)
     MachineConfig m = small_machine(1.2);  // slow core
     RunConfig rc = quick_run(100.0);       // line-rate 64-B packets
     RunResult r =
-        run_experiment(m, kForwarderConfig, PipelineOpts::vanilla(), t, rc);
+        Engine(m, kForwarderConfig, PipelineOpts::vanilla(), t).run(rc);
     EXPECT_GT(r.rx_drops, 0u);
     EXPECT_GT(r.tx_pkts, 0u);
     // Throughput must stay below the offered load but positive.
@@ -185,12 +185,10 @@ TEST(EngineIntegration, LatencyGrowsWithLoad)
 {
     Trace t = make_fixed_size_trace(1024, 512);
     MachineConfig m = small_machine(1.4);
-    RunResult light = run_experiment(m, kForwarderConfig,
-                                     PipelineOpts::vanilla(), t,
-                                     quick_run(10.0));
-    RunResult heavy = run_experiment(m, kForwarderConfig,
-                                     PipelineOpts::vanilla(), t,
-                                     quick_run(100.0));
+    RunResult light = Engine(m, kForwarderConfig,
+                             PipelineOpts::vanilla(), t).run(quick_run(10.0));
+    RunResult heavy = Engine(m, kForwarderConfig,
+                             PipelineOpts::vanilla(), t).run(quick_run(100.0));
     EXPECT_GT(heavy.p99_latency_us, light.p99_latency_us);
 }
 
@@ -200,8 +198,7 @@ TEST(EngineIntegration, TwoNicsAggregateOnOneCore)
     MachineConfig m = small_machine(2.6);
     m.num_nics = 2;
     PipelineOpts xchg = PipelineOpts::packetmill();
-    RunResult r = run_experiment(m, kForwarderConfig, xchg, t,
-                                 quick_run(100.0));
+    RunResult r = Engine(m, kForwarderConfig, xchg, t).run(quick_run(100.0));
     // Total throughput across both NICs can exceed one link's rate.
     EXPECT_GT(r.throughput_gbps, 100.0);
 }
@@ -221,9 +218,9 @@ input -> CheckIPHeader -> Napt(SRCIP 100.0.0.1) -> output;
     m2.num_cores = 2;
 
     RunResult r1 =
-        run_experiment(m1, nat_config, PipelineOpts::vanilla(), t, rc);
+        Engine(m1, nat_config, PipelineOpts::vanilla(), t).run(rc);
     RunResult r2 =
-        run_experiment(m2, nat_config, PipelineOpts::vanilla(), t, rc);
+        Engine(m2, nat_config, PipelineOpts::vanilla(), t).run(rc);
     EXPECT_GT(r2.throughput_gbps, r1.throughput_gbps * 1.4)
         << "two cores should be meaningfully faster than one";
 }
@@ -233,10 +230,9 @@ TEST(EngineIntegration, PacketMillBeatsVanillaOnRouter)
     Trace t = make_campus_trace({2048, 512, 7});
     MachineConfig m = small_machine(2.3);
     RunConfig rc = quick_run(100.0);
-    RunResult v = run_experiment(m, kRouterConfig,
-                                 PipelineOpts::vanilla(), t, rc);
-    RunResult p = run_experiment(m, kRouterConfig,
-                                 PipelineOpts::packetmill(), t, rc);
+    RunResult v = Engine(m, kRouterConfig, PipelineOpts::vanilla(), t).run(rc);
+    RunResult p = Engine(m, kRouterConfig,
+                         PipelineOpts::packetmill(), t).run(rc);
     EXPECT_GT(p.throughput_gbps, v.throughput_gbps * 1.1);
     EXPECT_LT(p.median_latency_us, v.median_latency_us * 1.01);
 }

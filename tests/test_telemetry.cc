@@ -188,42 +188,6 @@ TEST(Export, JsonEscapesEveryControlCharacter)
     EXPECT_EQ(json_escape("plain ~text"), "plain ~text");
 }
 
-TEST(Export, CsvQuoting)
-{
-    std::ostringstream os;
-    write_csv_record(os, {"plain", "has,comma", "has\"quote"});
-    EXPECT_EQ(os.str(), "plain,\"has,comma\",\"has\"\"quote\"\n");
-}
-
-TEST(Export, CsvQuotesNewlinesAndQuotesCombined)
-{
-    std::ostringstream os;
-    write_csv_record(os, {"line\nbreak", "a\"b,c", ""});
-    EXPECT_EQ(os.str(), "\"line\nbreak\",\"a\"\"b,c\",\n");
-}
-
-TEST(Export, CsvQuotesColumnNamesWithCommas)
-{
-    // A metric named with a comma must round-trip through the CSV
-    // header as one quoted cell, not silently split into two columns.
-    MetricsRegistry reg;
-    CounterHandle c = reg.add_counter("tbl_a,b_inserts");
-    Sampler s(reg, 100.0);
-    s.start(0.0);
-    c.add(4);
-    s.advance(100'000.0);
-
-    std::ostringstream os;
-    export_csv(s.timeline(), os);
-    std::istringstream is(os.str());
-    std::string header;
-    ASSERT_TRUE(std::getline(is, header));
-    EXPECT_EQ(header, "t_us,dt_us,partial,\"tbl_a,b_inserts\"");
-    std::string row;
-    ASSERT_TRUE(std::getline(is, row));
-    EXPECT_EQ(row, "100,100,0,4");
-}
-
 Timeline
 make_test_timeline()
 {
@@ -283,22 +247,6 @@ TEST(Export, JsonlBytesArePinned)
               "\"rx_pkts\":0,\"q\\\"x\\\\y\\tz\":1.844674407e+19}\n");
 }
 
-TEST(Export, CsvRoundTrip)
-{
-    const Timeline tl = make_test_timeline();
-    std::ostringstream os;
-    export_csv(tl, os);
-    std::istringstream is(os.str());
-    std::string header;
-    ASSERT_TRUE(std::getline(is, header));
-    EXPECT_EQ(header, "t_us,dt_us,partial,pkts,occ");
-    std::string row;
-    ASSERT_TRUE(std::getline(is, row));
-    EXPECT_EQ(row, "100,100,0,7,0.25");
-    ASSERT_TRUE(std::getline(is, row));
-    EXPECT_EQ(row, "200,100,0,3,0.25");
-}
-
 TEST(Sampler, FinishFlushesTrailingPartialInterval)
 {
     MetricsRegistry reg;
@@ -351,14 +299,6 @@ TEST(Sampler, PartialRowMarkedInExports)
     std::ostringstream js;
     export_jsonl(s.timeline(), js);
     EXPECT_NE(js.str().find("\"partial\":true"), std::string::npos);
-
-    std::ostringstream cs;
-    export_csv(s.timeline(), cs);
-    std::istringstream is(cs.str());
-    std::string header, row;
-    ASSERT_TRUE(std::getline(is, header));
-    ASSERT_TRUE(std::getline(is, row));
-    EXPECT_EQ(row, "40,40,1,2");
 }
 
 TEST(EngineTelemetry, TimelineCoversMeasuredWindow)
@@ -519,7 +459,7 @@ TEST(TimelineLookup, UnknownColumnIsNotSilentlyZero)
 
 /// @name Registered column set.
 /// The engine's metric list (names, kinds, registration order) is the
-/// schema of every stats CSV/JSONL; these pins catch a column that
+/// schema of every stats JSONL file; these pins catch a column that
 /// moves, changes kind, or silently appears/disappears.
 /// @{
 

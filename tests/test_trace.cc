@@ -1,11 +1,10 @@
 /**
  * @file
- * Tests for the traffic generators and trace file I/O.
+ * Tests for the stored trace, its replay and the traffic generators.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
 #include <set>
 
@@ -28,70 +27,6 @@ TEST(Trace, AddAndAccess)
     EXPECT_EQ(t.data(1)[0], 0xBB);
     EXPECT_EQ(t.total_bytes(), 192u);
     EXPECT_DOUBLE_EQ(t.mean_len(), 96.0);
-}
-
-TEST(Trace, SaveLoadRoundTrip)
-{
-    Trace t = make_fixed_size_trace(200, 50);
-    const std::string path = "/tmp/pmill_trace_test.bin";
-    ASSERT_TRUE(t.save(path));
-
-    Trace loaded;
-    ASSERT_TRUE(loaded.load(path));
-    ASSERT_EQ(loaded.size(), t.size());
-    EXPECT_EQ(loaded.total_bytes(), t.total_bytes());
-    for (std::size_t i = 0; i < t.size(); ++i) {
-        ASSERT_EQ(loaded.len(i), t.len(i));
-        EXPECT_EQ(std::memcmp(loaded.data(i), t.data(i), t.len(i)), 0);
-    }
-    std::remove(path.c_str());
-}
-
-TEST(Trace, LoadRejectsGarbage)
-{
-    const std::string path = "/tmp/pmill_trace_garbage.bin";
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("not a trace file at all", f);
-    std::fclose(f);
-    Trace t;
-    EXPECT_FALSE(t.load(path));
-    EXPECT_TRUE(t.empty());
-    std::remove(path.c_str());
-    EXPECT_FALSE(t.load("/nonexistent/path/file.bin"));
-
-    // Well-formed headers with bad contents: a file in save()'s
-    // layout holding one index entry (offset 0, length @p len) and
-    // @p blob_bytes of frame data, under the header counts given.
-    auto crafted = [&](std::uint64_t count, std::uint64_t blob,
-                       std::uint32_t len, std::size_t blob_bytes) {
-        std::FILE *cf = std::fopen(path.c_str(), "wb");
-        EXPECT_NE(cf, nullptr);
-        const std::uint32_t magic = 0x504D5452;
-        const std::uint64_t offset = 0;
-        const std::vector<std::uint8_t> bytes(blob_bytes, 0xAB);
-        std::fwrite(&magic, sizeof(magic), 1, cf);
-        std::fwrite(&count, sizeof(count), 1, cf);
-        std::fwrite(&blob, sizeof(blob), 1, cf);
-        std::fwrite(&offset, sizeof(offset), 1, cf);
-        std::fwrite(&len, sizeof(len), 1, cf);
-        std::fwrite(bytes.data(), 1, bytes.size(), cf);
-        std::fclose(cf);
-        Trace ct;
-        const bool ok = ct.load(path);
-        std::remove(path.c_str());
-        return ok && !ct.empty();
-    };
-    EXPECT_TRUE(crafted(1, 64, 64, 64)) << "the control file must load";
-    EXPECT_FALSE(crafted(1, 64, 0, 64)) << "zero-length frame";
-    EXPECT_FALSE(crafted(1, 2048, kMaxFrameLen + 1, 2048))
-        << "frame longer than kMaxFrameLen";
-    EXPECT_FALSE(crafted(1, 64, 65, 64)) << "frame past the blob";
-    EXPECT_FALSE(crafted(std::uint64_t{1} << 60, 64, 64, 64))
-        << "count larger than the file";
-    EXPECT_FALSE(crafted(1, std::uint64_t{1} << 60, 64, 64))
-        << "blob larger than the file";
-    EXPECT_FALSE(crafted(1, 128, 64, 64)) << "blob truncated";
 }
 
 TEST(Trace, AddRejectsBadLengths)
